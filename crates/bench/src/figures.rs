@@ -1,65 +1,145 @@
 //! Turn experiment grids into the paper's tables and figures.
 //!
-//! Every public figure function takes the instruction budget, runs its grid
-//! (in parallel), and renders an aligned text table with the same rows and
-//! series the paper's figure plots, plus the mean the paper quotes in its
-//! prose. [`run_experiment`] dispatches by name for the `figures` binary.
+//! [`TABLE`] registers every experiment once: its name, the grid of cells
+//! it needs, and the renderer that turns the grid's reports into an aligned
+//! text table with the same rows and series as the paper's figure, plus the
+//! mean the paper quotes in its prose. [`run_experiments`] runs any set of
+//! them as one [`Plan`] over the [`CellStore`], then renders them one at a
+//! time from the store.
 
 // The figure formatters walk several per-label report vectors in lock-step
 // by benchmark index; an iterator rewrite would zip four-plus vectors and
 // read worse than the index.
 #![allow(clippy::needless_range_loop)]
 
-use crate::checkpoint;
-use crate::memo;
+use crate::memo::CellStore;
+use crate::plan::{Executed, Plan};
 use crate::shard::{
     ExperimentFragment, FragmentEntry, ManifestExperiment, ShardSpec, SHARD_SCHEMA_VERSION,
 };
-use ppf_sim::experiments::{self, CellOutcome, PORT_COUNTS, TABLE_SIZES};
+use ppf_sim::experiments::{
+    self, ablations, CellOutcome, RunSpec, TelemetrySpec, PORT_COUNTS, TABLE_SIZES,
+};
 use ppf_sim::report::{f3, geomean, mean, pct, TextTable};
 use ppf_sim::{CellFailure, SimReport};
-use ppf_types::telemetry::TelemetryConfig;
-use ppf_types::{json_struct, PpfError};
+use ppf_types::telemetry::{TelemetryConfig, DEFAULT_INTERVAL_CYCLES};
+use ppf_types::{json_struct, PpfError, ToJson};
 use ppf_workloads::{AttackKind, FaultSpec, Workload};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-/// All experiment names accepted by [`run_experiment`].
-pub const EXPERIMENTS: [&str; 33] = [
-    "table1",
-    "table2",
-    "calibrate",
-    "fig1",
-    "fig2",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "nsp-sdp",
-    "cache-vs-table",
-    "ablate-counter",
-    "ablate-init",
-    "ablate-split",
-    "ablate-recovery",
-    "ablate-adaptive",
-    "ablate-assoc",
-    "ablate-victim",
-    "ablate-degree",
-    "ablate-banks",
-    "ablate-hybrid",
-    "ablate-mix",
-    "filter-family",
-    "attack-matrix",
+/// Renders a grid's reports as the experiment's text table.
+pub type Render = fn(&[SimReport]) -> String;
+
+/// One experiment: its name, its grid, and its renderer.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// The name `figures` accepts.
+    pub name: &'static str,
+    /// The grid at a per-cell instruction budget. Empty for a static table,
+    /// which runs nothing and writes no JSON.
+    pub grid: fn(u64) -> Vec<RunSpec>,
+    /// Turns the grid's reports, in grid order, into the rendered table.
+    pub render: Render,
+}
+
+const fn row(name: &'static str, grid: fn(u64) -> Vec<RunSpec>, render: Render) -> Experiment {
+    Experiment { name, grid, render }
+}
+
+/// Every experiment, in the order `figures all` runs and prints them.
+pub const TABLE: [Experiment; 33] = [
+    row("table1", |_| Vec::new(), |_| table1()),
+    row("table2", experiments::table2, table2),
+    row("calibrate", experiments::calibration, calibrate),
+    row("fig1", experiments::fig1_2, fig1),
+    row("fig2", experiments::fig1_2, fig2),
+    row("fig4", experiments::fig4_5_6, |r| fig4_style(r, "8KB")),
+    row("fig5", experiments::fig4_5_6, |r| fig5_style(r, "8KB")),
+    row("fig6", experiments::fig4_5_6, |r| fig6_style(r, "8KB")),
+    row("fig7", experiments::fig7_8_9, |r| fig4_style(r, "32KB")),
+    row("fig8", experiments::fig7_8_9, |r| fig5_style(r, "32KB")),
+    row("fig9", experiments::fig7_8_9, |r| fig6_style(r, "32KB")),
+    row("fig10", experiments::fig10_11_12, fig10),
+    row("fig11", experiments::fig10_11_12, fig11),
+    row("fig12", experiments::fig10_11_12, fig12),
+    row("fig13", experiments::fig13_14, fig13),
+    row("fig14", experiments::fig13_14, fig14),
+    row("fig15", experiments::fig15_16, fig15),
+    row("fig16", experiments::fig15_16, fig16),
+    row("nsp-sdp", experiments::nsp_sdp_solo, nsp_sdp),
+    row(
+        "cache-vs-table",
+        experiments::cache_vs_table,
+        cache_vs_table,
+    ),
+    row("ablate-counter", ablations::counter_width, |r| {
+        ablation_summary(r, "Ablation: saturating-counter width (PA filter)")
+    }),
+    row("ablate-init", ablations::counter_init, |r| {
+        ablation_summary(
+            r,
+            "Ablation: counter initialization (assumed-good vs alternatives)",
+        )
+    }),
+    row("ablate-split", ablations::split_tables, |r| {
+        ablation_summary(r, "Ablation: shared vs per-source history tables")
+    }),
+    row("ablate-recovery", ablations::recovery, |r| {
+        ablation_summary(
+            r,
+            "Ablation: misprediction recovery vs strict (absorbing) filter",
+        )
+    }),
+    row("ablate-adaptive", ablations::adaptive, |r| {
+        ablation_summary(
+            r,
+            "Ablation: adaptive filter engagement (section 5.2.1 remark)",
+        )
+    }),
+    row("ablate-assoc", ablations::associativity, |r| {
+        ablation_summary(r, "Ablation: L1 associativity (no filter)")
+    }),
+    row("ablate-victim", ablations::victim_cache, |r| {
+        ablation_summary(r, "Ablation: victim cache vs pollution filter")
+    }),
+    row("ablate-degree", ablations::nsp_degree, |r| {
+        ablation_summary(r, "Ablation: NSP aggressiveness (prefetch degree)")
+    }),
+    row("ablate-banks", ablations::dram_banks, |r| {
+        ablation_summary(r, "Ablation: DRAM banking (memory-level-parallelism limit)")
+    }),
+    row("ablate-hybrid", ablations::hybrid, |r| {
+        ablation_summary(
+            r,
+            "Ablation: PA vs PC vs tournament hybrid (same counter budget)",
+        )
+    }),
+    row("ablate-mix", ablations::prefetcher_mix, |r| {
+        ablation_summary(
+            r,
+            "Ablation: prefetcher mix (stride RPT, Markov correlation)",
+        )
+    }),
+    row("filter-family", experiments::filter_family, filter_family),
+    row("attack-matrix", experiments::attack_matrix, attack_matrix),
 ];
+
+/// All experiment names, in [`TABLE`] order.
+pub const EXPERIMENTS: [&str; 33] = {
+    let mut names = [""; 33];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = TABLE[i].name;
+        i += 1;
+    }
+    names
+};
+
+/// The experiment called `name`.
+pub fn experiment(name: &str) -> Option<Experiment> {
+    TABLE.into_iter().find(|e| e.name == name)
+}
 
 /// Options for one experiment invocation beyond the instruction budget.
 #[derive(Debug, Clone)]
@@ -69,8 +149,9 @@ pub struct ExperimentOptions {
     pub seeds: u32,
     /// Dump raw reports of completed cells to `<json_dir>/<name>.json`.
     pub json_dir: Option<String>,
-    /// Checkpoint/resume directory: completed cells are persisted under
-    /// `<dir>/<experiment>/` and reloaded on the next invocation.
+    /// Checkpoint/resume directory: the [`CellStore`]'s directory backend.
+    /// Completed cells are persisted as `<dir>/<key>.json` and reloaded by
+    /// the next invocation.
     pub checkpoint: Option<PathBuf>,
     /// Interval-telemetry directory: every cell streams its per-interval
     /// records to `<dir>/<experiment>/<cell>.jsonl` (default sampling
@@ -110,9 +191,12 @@ pub struct ExperimentOutput {
     pub total_cells: usize,
     /// Cells that failed every attempt.
     pub failed_cells: usize,
-    /// Raw (cell × seed) runs reloaded from the checkpoint directory.
+    /// Raw (cell × seed) runs the store already held — in memory from an
+    /// earlier call in this process, or in the checkpoint directory. A run
+    /// several experiments share counts against the first of them only.
     pub loaded_cells: usize,
-    /// Raw (cell × seed) runs executed this invocation.
+    /// Raw (cell × seed) runs executed by this invocation, counted the
+    /// same way.
     pub executed_cells: usize,
     /// Structured failures of the cells counted in `failed_cells` (the
     /// machine-readable form of the text appendix).
@@ -130,183 +214,174 @@ impl ExperimentOutput {
     }
 }
 
-/// Run one named experiment; returns its rendered table. With `json_dir`
-/// set, raw reports are also dumped to `<json_dir>/<name>.json`.
-pub fn run_experiment(name: &str, insts: u64, json_dir: Option<&str>) -> Result<String, String> {
-    run_experiment_seeds(name, insts, json_dir, 1)
-}
-
-/// [`run_experiment`] averaged over `seeds` workload seeds (counters are
-/// summed per cell, so rates become instruction-weighted averages).
-pub fn run_experiment_seeds(
-    name: &str,
-    insts: u64,
-    json_dir: Option<&str>,
-    seeds: u32,
-) -> Result<String, String> {
-    let opts = ExperimentOptions {
-        seeds,
-        json_dir: json_dir.map(str::to_string),
-        ..ExperimentOptions::default()
-    };
-    run_experiment_full(name, insts, &opts)
-        .map(|out| out.body)
-        .map_err(|e| e.to_string())
-}
-
-/// The full-fat entry point: seeds, JSON dump, checkpoint/resume, and a
-/// structured [`ExperimentOutput`] whose cell counts the caller can turn
-/// into a partial-failure exit code.
+/// Run one named experiment (see [`run_experiments`]).
 pub fn run_experiment_full(
     name: &str,
     insts: u64,
     opts: &ExperimentOptions,
 ) -> Result<ExperimentOutput, PpfError> {
-    CTX.with(|c| {
-        *c.borrow_mut() = RunContext {
-            seeds: opts.seeds.max(1),
-            checkpoint: opts.checkpoint.clone(),
-            telemetry: opts.telemetry.clone(),
-            inject_fault: opts.inject_fault,
-            shard: opts.shard,
-            counts: CellCounts::default(),
-            fragment: None,
-        }
-    });
-    let dispatched: Result<(String, Vec<SimReport>, String), PpfError> = match name {
-        "table1" => {
-            // Static table: no grid, no cells, nothing to checkpoint and
-            // nothing to shard (every shard prints it; none claims it).
-            return Ok(ExperimentOutput {
-                body: table1(),
-                total_cells: 0,
-                failed_cells: 0,
-                loaded_cells: 0,
-                executed_cells: 0,
-                failures: Vec::new(),
-                manifest: None,
+    let mut outputs = run_experiments(&[name], insts, opts)?;
+    Ok(outputs.pop().expect("one output per experiment"))
+}
+
+/// Run the named experiments as one plan: the union of their grids, fanned
+/// by seed, deduplicated by cell key and filtered by shard, executed once
+/// over the process-wide [`CellStore`] (plus the checkpoint directory when
+/// set). Each experiment is then rendered from the store in turn, its JSON
+/// document (or shard fragment) written before the next is built. Returns
+/// one output per name, in order.
+pub fn run_experiments(
+    names: &[&str],
+    insts: u64,
+    opts: &ExperimentOptions,
+) -> Result<Vec<ExperimentOutput>, PpfError> {
+    let rows = names
+        .iter()
+        .map(|&name| {
+            experiment(name)
+                .ok_or_else(|| PpfError::config_invalid(format!("unknown experiment '{name}'")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let store = CellStore::process(opts.checkpoint.as_deref())?;
+    let grids = rows.iter().map(|row| grid(row, insts, opts)).collect();
+    let ran = Plan::new(grids, opts.seeds, opts.shard).execute(&store);
+    rows.iter()
+        .enumerate()
+        .map(|(g, row)| render(row, &ran, g, &store, opts))
+        .collect()
+}
+
+/// `row`'s grid with the invocation's telemetry and fault drill applied.
+fn grid(row: &Experiment, insts: u64, opts: &ExperimentOptions) -> Vec<RunSpec> {
+    let mut grid = (row.grid)(insts);
+    if let Some(base) = &opts.telemetry {
+        let dir = base.join(row.name);
+        for spec in &mut grid {
+            spec.telemetry = Some(TelemetrySpec {
+                config: TelemetryConfig::every(DEFAULT_INTERVAL_CYCLES),
+                dir: dir.clone(),
             });
         }
-        "table2" => run_and(name, experiments::table2(insts), table2),
-        "calibrate" => run_and(name, experiments::calibration(insts), calibrate),
-        "fig1" => run_and(name, experiments::fig1_2(insts), fig1),
-        "fig2" => run_and(name, experiments::fig1_2(insts), fig2),
-        "fig4" => run_and(name, experiments::fig4_5_6(insts), |r| fig4_style(r, "8KB")),
-        "fig5" => run_and(name, experiments::fig4_5_6(insts), |r| fig5_style(r, "8KB")),
-        "fig6" => run_and(name, experiments::fig4_5_6(insts), |r| fig6_style(r, "8KB")),
-        "fig7" => run_and(name, experiments::fig7_8_9(insts), |r| {
-            fig4_style(r, "32KB")
-        }),
-        "fig8" => run_and(name, experiments::fig7_8_9(insts), |r| {
-            fig5_style(r, "32KB")
-        }),
-        "fig9" => run_and(name, experiments::fig7_8_9(insts), |r| {
-            fig6_style(r, "32KB")
-        }),
-        "fig10" => run_and(name, experiments::fig10_11_12(insts), fig10),
-        "fig11" => run_and(name, experiments::fig10_11_12(insts), fig11),
-        "fig12" => run_and(name, experiments::fig10_11_12(insts), fig12),
-        "fig13" => run_and(name, experiments::fig13_14(insts), fig13),
-        "fig14" => run_and(name, experiments::fig13_14(insts), fig14),
-        "fig15" => run_and(name, experiments::fig15_16(insts), fig15),
-        "fig16" => run_and(name, experiments::fig15_16(insts), fig16),
-        "nsp-sdp" => run_and(name, experiments::nsp_sdp_solo(insts), nsp_sdp),
-        "cache-vs-table" => run_and(name, experiments::cache_vs_table(insts), cache_vs_table),
-        "ablate-counter" => run_and(name, experiments::ablations::counter_width(insts), |r| {
-            ablation_summary(r, "Ablation: saturating-counter width (PA filter)")
-        }),
-        "ablate-init" => run_and(name, experiments::ablations::counter_init(insts), |r| {
-            ablation_summary(
-                r,
-                "Ablation: counter initialization (assumed-good vs alternatives)",
-            )
-        }),
-        "ablate-split" => run_and(name, experiments::ablations::split_tables(insts), |r| {
-            ablation_summary(r, "Ablation: shared vs per-source history tables")
-        }),
-        "ablate-recovery" => run_and(name, experiments::ablations::recovery(insts), |r| {
-            ablation_summary(
-                r,
-                "Ablation: misprediction recovery vs strict (absorbing) filter",
-            )
-        }),
-        "ablate-adaptive" => run_and(name, experiments::ablations::adaptive(insts), |r| {
-            ablation_summary(
-                r,
-                "Ablation: adaptive filter engagement (section 5.2.1 remark)",
-            )
-        }),
-        "ablate-assoc" => run_and(name, experiments::ablations::associativity(insts), |r| {
-            ablation_summary(r, "Ablation: L1 associativity (no filter)")
-        }),
-        "ablate-victim" => run_and(name, experiments::ablations::victim_cache(insts), |r| {
-            ablation_summary(r, "Ablation: victim cache vs pollution filter")
-        }),
-        "ablate-degree" => run_and(name, experiments::ablations::nsp_degree(insts), |r| {
-            ablation_summary(r, "Ablation: NSP aggressiveness (prefetch degree)")
-        }),
-        "ablate-banks" => run_and(name, experiments::ablations::dram_banks(insts), |r| {
-            ablation_summary(r, "Ablation: DRAM banking (memory-level-parallelism limit)")
-        }),
-        "ablate-hybrid" => run_and(name, experiments::ablations::hybrid(insts), |r| {
-            ablation_summary(
-                r,
-                "Ablation: PA vs PC vs tournament hybrid (same counter budget)",
-            )
-        }),
-        "ablate-mix" => run_and(name, experiments::ablations::prefetcher_mix(insts), |r| {
-            ablation_summary(
-                r,
-                "Ablation: prefetcher mix (stride RPT, Markov correlation)",
-            )
-        }),
-        "filter-family" => run_and(name, experiments::filter_family(insts), filter_family),
-        "attack-matrix" => run_and(name, experiments::attack_matrix(insts), attack_matrix),
-        other => Err(PpfError::config_invalid(format!(
-            "unknown experiment '{other}'"
-        ))),
-    };
-    let (title, reports, body) = dispatched?;
-    let counts = CTX.with(|c| c.borrow().counts.clone());
-    let fragment = CTX.with(|c| c.borrow_mut().fragment.take());
-    let mut manifest = None;
-    if let Some(dir) = &opts.json_dir {
-        std::fs::create_dir_all(dir)
-            .map_err(|e| PpfError::io(e.to_string()).context(format!("creating json dir {dir}")))?;
-        if let Some((frag, man)) = fragment {
-            // Sharded mode: this invocation owns only part of the grid, so
-            // it writes a self-describing fragment for `figures merge`
-            // instead of posing as the full experiment document.
-            let path = format!("{dir}/{title}.fragment.json");
-            let json = ppf_types::ToJson::to_json_pretty(&frag);
-            std::fs::write(&path, json)
-                .map_err(|e| PpfError::io(e.to_string()).context(format!("writing {path}")))?;
-            manifest = Some(man);
-        } else {
-            let path = format!("{dir}/{title}.json");
-            // One self-describing document per experiment: reports of the
-            // surviving cells plus structured failures — so a partial run
-            // still dumps machine-parseable JSON instead of a bare array
-            // missing rows with no explanation.
-            let doc = ExperimentDoc {
-                experiment: title.clone(),
-                reports,
-                failures: counts.failures.clone(),
-            };
-            let json = ppf_types::ToJson::to_json_pretty(&doc);
-            std::fs::write(&path, json)
-                .map_err(|e| PpfError::io(e.to_string()).context(format!("writing {path}")))?;
+    }
+    if let Some(at) = opts.inject_fault {
+        if let Some(first) = grid.first_mut() {
+            first.fault = Some(FaultSpec::panic_at(at));
         }
     }
-    Ok(ExperimentOutput {
-        body,
-        total_cells: counts.total,
-        failed_cells: counts.failed,
-        loaded_cells: counts.loaded,
-        executed_cells: counts.executed,
-        failures: counts.failures,
-        manifest,
-    })
+    grid
+}
+
+/// Render experiment `row` (grid `g` of `ran`) and write its JSON. A grid
+/// with failed cells renders as [`partial_results`] instead of the
+/// figure-specific table (whose lock-step label groups cannot tolerate
+/// holes); its document then carries the surviving cells only. A shard
+/// renders a one-line coverage summary instead — it holds an arbitrary
+/// subset of rows, which no figure formatter can typeset — and writes a
+/// fragment for `figures merge`.
+fn render(
+    row: &Experiment,
+    ran: &Executed,
+    g: usize,
+    store: &CellStore,
+    opts: &ExperimentOptions,
+) -> Result<ExperimentOutput, PpfError> {
+    let name = row.name;
+    let total = ran.total(g);
+    if total == 0 {
+        // A static table: no cells, nothing to store, write or shard (every
+        // shard prints it; none claims it).
+        return Ok(ExperimentOutput {
+            body: (row.render)(&[]),
+            total_cells: 0,
+            failed_cells: 0,
+            loaded_cells: 0,
+            executed_cells: 0,
+            failures: Vec::new(),
+            manifest: None,
+        });
+    }
+    let outcomes = ran.outcomes(g, store);
+    let failures: Vec<CellFailure> = outcomes
+        .iter()
+        .filter_map(CellOutcome::failure)
+        .cloned()
+        .collect();
+    let mut output = ExperimentOutput {
+        body: String::new(),
+        total_cells: outcomes.len(),
+        failed_cells: failures.len(),
+        loaded_cells: ran.served[g],
+        executed_cells: ran.executed[g],
+        failures,
+        manifest: None,
+    };
+    if let Some(shard) = opts.shard {
+        let (indices, keys) = ran.coverage(g);
+        output.body = header(&format!(
+            "{name}: shard {shard} — ran {}/{total} cells, {} failed",
+            outcomes.len(),
+            output.failed_cells
+        ));
+        let entries = indices
+            .iter()
+            .zip(&keys)
+            .zip(outcomes)
+            .map(|((&index, key), o)| FragmentEntry {
+                index,
+                key: key.clone(),
+                report: o.report().cloned(),
+                failure: o.failure().cloned(),
+            })
+            .collect();
+        let fragment = ExperimentFragment {
+            schema_version: SHARD_SCHEMA_VERSION,
+            experiment: name.to_string(),
+            shard_index: shard.index,
+            shard_count: shard.count,
+            total_cells: total,
+            entries,
+        };
+        write_json(opts, &format!("{name}.fragment.json"), &fragment)?;
+        output.manifest = Some(ManifestExperiment {
+            experiment: name.to_string(),
+            total_cells: total,
+            indices,
+            keys,
+        });
+        return Ok(output);
+    }
+    let partial = (output.failed_cells > 0).then(|| partial_results(name, &outcomes));
+    let reports: Vec<SimReport> = outcomes
+        .into_iter()
+        .filter_map(|o| match o {
+            CellOutcome::Ok(r) => Some(*r),
+            CellOutcome::Failed(_) => None,
+        })
+        .collect();
+    output.body = partial.unwrap_or_else(|| (row.render)(&reports));
+    // One self-describing document per experiment: reports of the
+    // surviving cells plus structured failures — so a partial run still
+    // dumps machine-parseable JSON instead of a bare array missing rows
+    // with no explanation.
+    let doc = ExperimentDoc {
+        experiment: name.to_string(),
+        reports,
+        failures: output.failures.clone(),
+    };
+    write_json(opts, &format!("{name}.json"), &doc)?;
+    Ok(output)
+}
+
+/// Write `value` as `<json_dir>/<file>` when `--json` is set.
+fn write_json(opts: &ExperimentOptions, file: &str, value: &impl ToJson) -> Result<(), PpfError> {
+    let Some(dir) = &opts.json_dir else {
+        return Ok(());
+    };
+    std::fs::create_dir_all(dir)
+        .map_err(|e| PpfError::io(e.to_string()).context(format!("creating json dir {dir}")))?;
+    let path = format!("{dir}/{file}");
+    std::fs::write(&path, value.to_json_pretty())
+        .map_err(|e| PpfError::io(e.to_string()).context(format!("writing {path}")))
 }
 
 /// The on-disk JSON document `figures --json` writes per experiment:
@@ -327,202 +402,6 @@ json_struct!(ExperimentDoc {
     reports,
     failures,
 });
-
-/// Cell accounting accumulated over one `run_experiment_full` invocation.
-#[derive(Debug, Clone, Default)]
-struct CellCounts {
-    total: usize,
-    failed: usize,
-    loaded: usize,
-    executed: usize,
-    failures: Vec<CellFailure>,
-}
-
-/// Per-invocation context for the current experiment — thread-local
-/// plumbing keeps every figure closure's signature flat.
-#[derive(Debug)]
-struct RunContext {
-    seeds: u32,
-    checkpoint: Option<PathBuf>,
-    telemetry: Option<PathBuf>,
-    inject_fault: Option<u64>,
-    shard: Option<ShardSpec>,
-    counts: CellCounts,
-    /// Sharded mode: the fragment + manifest record the grid runner built
-    /// for the current experiment, consumed by `run_experiment_full`.
-    fragment: Option<(ExperimentFragment, ManifestExperiment)>,
-}
-
-thread_local! {
-    static CTX: std::cell::RefCell<RunContext> = std::cell::RefCell::new(RunContext {
-        seeds: 1,
-        checkpoint: None,
-        telemetry: None,
-        inject_fault: None,
-        shard: None,
-        counts: CellCounts::default(),
-        fragment: None,
-    });
-}
-
-/// Run a grid and apply a formatter, returning (name, reports, rendered).
-/// A grid with failed cells renders as [`partial_results`] instead of the
-/// figure-specific table (whose lock-step label groups cannot tolerate
-/// holes); the reports vector then carries the surviving cells only.
-fn run_and(
-    name: &str,
-    mut grid: Vec<experiments::RunSpec>,
-    format: impl Fn(&[SimReport]) -> String,
-) -> Result<(String, Vec<SimReport>, String), PpfError> {
-    let (seeds, ckpt, telemetry, inject_fault, shard) = CTX.with(|c| {
-        let c = c.borrow();
-        (
-            c.seeds,
-            c.checkpoint.clone(),
-            c.telemetry.clone(),
-            c.inject_fault,
-            c.shard,
-        )
-    });
-    if let Some(base) = &telemetry {
-        let dir = base.join(name);
-        for spec in &mut grid {
-            spec.telemetry = Some(experiments::TelemetrySpec {
-                config: TelemetryConfig::every(ppf_types::telemetry::DEFAULT_INTERVAL_CYCLES),
-                dir: dir.clone(),
-            });
-        }
-    }
-    if let Some(at) = inject_fault {
-        if let Some(first) = grid.first_mut() {
-            first.fault = Some(FaultSpec::panic_at(at));
-        }
-    }
-    if let Some(shard) = shard {
-        return run_shard(name, grid, seeds, ckpt, shard);
-    }
-    let total = grid.len();
-    let (outcomes, loaded, executed) = match ckpt {
-        Some(dir) => {
-            let run = checkpoint::run_grid_seeds_checkpointed(grid, seeds, &dir.join(name))?;
-            for e in &run.write_errors {
-                eprintln!("warning: {e}");
-            }
-            (run.outcomes, run.loaded, run.executed)
-        }
-        None => {
-            let run = memo::run_grid_seeds_memoized(grid, seeds);
-            (run.outcomes, run.hits, run.executed)
-        }
-    };
-    let failed = outcomes.iter().filter(|o| !o.is_ok()).count();
-    CTX.with(|c| {
-        let mut c = c.borrow_mut();
-        c.counts.total += total;
-        c.counts.failed += failed;
-        c.counts.loaded += loaded;
-        c.counts.executed += executed;
-        c.counts
-            .failures
-            .extend(outcomes.iter().filter_map(CellOutcome::failure).cloned());
-    });
-    let reports: Vec<SimReport> = outcomes
-        .iter()
-        .filter_map(|o| o.report().cloned())
-        .collect();
-    let body = if failed == 0 {
-        format(&reports)
-    } else {
-        partial_results(name, &outcomes)
-    };
-    Ok((name.to_string(), reports, body))
-}
-
-/// The sharded form of [`run_and`]: run only the cells this shard owns
-/// (by content-hash key, so the partition is machine- and order-
-/// independent), record a fragment + manifest in the run context, and
-/// render a one-line coverage summary instead of the figure table — a
-/// shard holds an arbitrary subset of rows, which no figure formatter
-/// can typeset.
-fn run_shard(
-    name: &str,
-    grid: Vec<experiments::RunSpec>,
-    seeds: u32,
-    ckpt: Option<PathBuf>,
-    shard: ShardSpec,
-) -> Result<(String, Vec<SimReport>, String), PpfError> {
-    let full_total = grid.len() as u64;
-    let mut indices: Vec<u64> = Vec::new();
-    let mut keys: Vec<String> = Vec::new();
-    let mut selected: Vec<experiments::RunSpec> = Vec::new();
-    for (i, spec) in grid.into_iter().enumerate() {
-        let key = checkpoint::cell_key(&spec);
-        if shard.contains(&key) {
-            indices.push(i as u64);
-            keys.push(key);
-            selected.push(spec);
-        }
-    }
-    let owned = selected.len();
-    let (outcomes, loaded, executed) = match ckpt {
-        Some(dir) => {
-            let run = checkpoint::run_grid_seeds_checkpointed(selected, seeds, &dir.join(name))?;
-            for e in &run.write_errors {
-                eprintln!("warning: {e}");
-            }
-            (run.outcomes, run.loaded, run.executed)
-        }
-        None => {
-            let run = memo::run_grid_seeds_memoized(selected, seeds);
-            (run.outcomes, run.hits, run.executed)
-        }
-    };
-    let failed = outcomes.iter().filter(|o| !o.is_ok()).count();
-    CTX.with(|c| {
-        let mut c = c.borrow_mut();
-        c.counts.total += owned;
-        c.counts.failed += failed;
-        c.counts.loaded += loaded;
-        c.counts.executed += executed;
-        c.counts
-            .failures
-            .extend(outcomes.iter().filter_map(CellOutcome::failure).cloned());
-    });
-    let entries: Vec<FragmentEntry> = indices
-        .iter()
-        .zip(&keys)
-        .zip(&outcomes)
-        .map(|((&index, key), o)| FragmentEntry {
-            index,
-            key: key.clone(),
-            report: o.report().cloned(),
-            failure: o.failure().cloned(),
-        })
-        .collect();
-    let fragment = ExperimentFragment {
-        schema_version: SHARD_SCHEMA_VERSION,
-        experiment: name.to_string(),
-        shard_index: shard.index,
-        shard_count: shard.count,
-        total_cells: full_total,
-        entries,
-    };
-    let manifest = ManifestExperiment {
-        experiment: name.to_string(),
-        total_cells: full_total,
-        indices,
-        keys,
-    };
-    CTX.with(|c| c.borrow_mut().fragment = Some((fragment, manifest)));
-    let reports: Vec<SimReport> = outcomes
-        .iter()
-        .filter_map(|o| o.report().cloned())
-        .collect();
-    let body = header(&format!(
-        "{name}: shard {shard} — ran {owned}/{full_total} cells, {failed} failed"
-    ));
-    Ok((name.to_string(), reports, body))
-}
 
 /// Rendering for a grid with failed cells. The figure formatters walk
 /// per-label report groups in lock-step by workload index and cannot
@@ -1527,18 +1406,26 @@ mod tests {
 
     const N: u64 = 4_000;
 
+    fn run(name: &str, json_dir: Option<&str>) -> Result<String, PpfError> {
+        let opts = ExperimentOptions {
+            json_dir: json_dir.map(str::to_string),
+            ..ExperimentOptions::default()
+        };
+        run_experiment_full(name, N, &opts).map(|out| out.body)
+    }
+
     #[test]
     fn experiments_list_is_dispatchable() {
         for name in EXPERIMENTS {
             // table1 is static; everything else runs a tiny grid.
-            let out = run_experiment(name, N, None).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let out = run(name, None).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(out.contains("=="), "{name} missing header");
         }
     }
 
     #[test]
     fn unknown_experiment_errors() {
-        assert!(run_experiment("fig99", N, None).is_err());
+        assert!(run("fig99", None).is_err());
     }
 
     #[test]
@@ -1554,7 +1441,7 @@ mod tests {
     fn json_dump_written() {
         let dir = std::env::temp_dir().join("ppf-fig-test");
         let dir_s = dir.to_str().unwrap();
-        run_experiment("fig2", N, Some(dir_s)).unwrap();
+        run("fig2", Some(dir_s)).unwrap();
         let data = std::fs::read_to_string(dir.join("fig2.json")).unwrap();
         assert!(data.contains("\"workload\""));
         std::fs::remove_dir_all(&dir).ok();

@@ -242,30 +242,30 @@ fn main() -> ExitCode {
         print_experiments();
         return ExitCode::FAILURE;
     }
-    let mut failed_cells = 0usize;
-    let mut manifest_experiments = Vec::new();
-    for name in &names {
-        match figures::run_experiment_full(name, insts, &opts) {
-            Ok(out) => {
-                println!("{}", out.body);
-                if !out.failures.is_empty() {
-                    // Diagnostics to stderr: stdout must stay parseable.
-                    eprint!("{}", figures::failure_appendix(&out.failures));
-                }
-                if opts.checkpoint.is_some() && out.loaded_cells + out.executed_cells > 0 {
-                    eprintln!(
-                        "[{name}] checkpoint: {} cell runs reloaded, {} executed",
-                        out.loaded_cells, out.executed_cells
-                    );
-                }
-                failed_cells += out.failed_cells;
-                manifest_experiments.extend(out.manifest);
-            }
-            Err(e) => {
-                eprintln!("{name}: {e}");
-                return ExitCode::FAILURE;
-            }
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let outputs = match figures::run_experiments(&names, insts, &opts) {
+        Ok(outputs) => outputs,
+        Err(e) => {
+            eprintln!("figures: {e}");
+            return ExitCode::FAILURE;
         }
+    };
+    let mut failed_cells = 0usize;
+    let (mut loaded, mut executed) = (0usize, 0usize);
+    let mut manifest_experiments = Vec::new();
+    for out in outputs {
+        println!("{}", out.body);
+        if !out.failures.is_empty() {
+            // Diagnostics to stderr: stdout must stay parseable.
+            eprint!("{}", figures::failure_appendix(&out.failures));
+        }
+        failed_cells += out.failed_cells;
+        loaded += out.loaded_cells;
+        executed += out.executed_cells;
+        manifest_experiments.extend(out.manifest);
+    }
+    if opts.checkpoint.is_some() && loaded + executed > 0 {
+        eprintln!("checkpoint: {loaded} cell runs reloaded, {executed} executed");
     }
     // Sharded mode: after the whole invocation, write the shard's
     // self-description beside its fragments so `figures merge` can

@@ -1,134 +1,248 @@
-//! In-process cell memoization for multi-experiment sweeps.
+//! The cell store: where a sweep keeps the report of every cell it ran.
 //!
-//! The 31 experiments of `figures all` share grids heavily: fig1/fig2
-//! render one grid two ways, fig4–6, fig7–9, fig10–12, fig13/14 and
-//! fig15/16 each share a sweep, and most ablations re-run the paper's
-//! no-filter/PA baseline cells verbatim. A cell is a pure function of its
-//! [`RunSpec`] (the determinism suite asserts exactly this), so within one
-//! process a spec identical to one already completed can reuse the
-//! finished [`SimReport`] instead of re-simulating — same bytes out,
-//! roughly half the cells actually run.
+//! A cell is a pure function of its [`RunSpec`] (the determinism suite
+//! asserts exactly this), so a report found under the cell's key is the
+//! report a fresh run would produce. The store has two backends:
 //!
-//! Keys extend the checkpoint content hash ([`cell_key`]) with the
-//! watchdog bounds (not part of the on-disk key, but they decide whether
-//! a cell errors). Fault-injected cells are never memoized, and failures
-//! are never cached — mirroring the checkpoint layer's "a resume is the
-//! retry the operator asked for".
+//! * **memory** — a process-wide table. The 33 experiments of
+//!   `figures all` plan 1030 cells between them but only 476 distinct
+//!   ones: fig1/fig2 render one grid two ways, the paper's figures share
+//!   sweeps, and most ablations re-run the paper's no-filter/PA baseline
+//!   under other names. Within one process each distinct cell runs once.
+//! * **directory** (optional, `figures --checkpoint DIR`) — one
+//!   `<DIR>/<key>.json` file per completed cell, written as each cell
+//!   finishes (write to a `.tmp` sibling, then rename), so a crash loses at
+//!   most the cells still in flight and a re-run resumes.
+//!
+//! The backends compose: a lookup tries memory, then the directory (a hit
+//! there is promoted to memory), and a freshly run cell is written through
+//! to both. Failures are never stored, so a resume is exactly the retry the
+//! operator asked for. Fault-injected and telemetry cells are never stored
+//! either (see [`memo_key`]).
+//!
+//! Keys are [`cell_key`]: label-free and versioned. A checkpoint directory
+//! written under an older key version (including every directory from
+//! before the store had one flat layout) is ignored, never misread. The
+//! directory also holds `TIMINGS.json`, the sweep's persisted
+//! [`CostModel`], so the next run starts the longest cells first.
 
-use crate::checkpoint::cell_key;
-use ppf_sim::experiments::{
-    fan_seeds, merge_seed_outcomes, run_grid_outcomes_observed, CellOutcome, RunSpec,
-};
+use ppf_sim::experiments::RunSpec;
+use ppf_sim::schedule::{cell_key, CostModel};
 use ppf_sim::SimReport;
+use ppf_types::{FromJson, PpfError, ToJson};
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// The process-wide memo table.
-fn memo() -> &'static Mutex<HashMap<String, SimReport>> {
-    static MEMO: OnceLock<Mutex<HashMap<String, SimReport>>> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The memo key of a cell, or `None` when the cell must not be memoized.
-/// Fault injection and telemetry streaming are outside the key's identity
-/// (neither changes the report's bytes, but a faulted cell must always
-/// execute and a telemetry cell must always write its side-channel stream),
+/// The store key of a cell, or `None` when the cell must not be stored or
+/// deduplicated. Fault injection and telemetry streaming are outside the
+/// key (neither changes the report's bytes), but a faulted cell must always
+/// execute and a telemetry cell must always write its side-channel stream,
 /// so both run unconditionally.
-///
-/// The key is *label-independent*: the label is presentation (copied
-/// verbatim into the report and never fed back into the machine), so
-/// "no-filter" in one experiment and "none" in another hit the same entry
-/// when every machine-visible field matches — `figures all` re-runs the
-/// paper baseline under many names. A hit patches the caller's label onto
-/// the cached report.
 pub fn memo_key(spec: &RunSpec) -> Option<String> {
-    if spec.fault.is_some() || spec.telemetry.is_some() {
-        return None;
+    is_storable(spec).then(|| cell_key(spec))
+}
+
+/// May this cell's result be stored and shared? (See [`memo_key`].)
+pub fn is_storable(spec: &RunSpec) -> bool {
+    spec.fault.is_none() && spec.telemetry.is_none()
+}
+
+/// Reports by key.
+type Table = Arc<Mutex<HashMap<String, SimReport>>>;
+
+/// Where [`CellStore::fetch`] found a key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fetch {
+    /// Already in the memory backend.
+    Memory,
+    /// Loaded from the directory backend (now also in memory).
+    Disk,
+    /// A directory entry exists but does not parse; the cell must re-run.
+    Corrupt,
+    /// Neither backend has it.
+    Missing,
+}
+
+/// A memory backend plus an optional directory backend (see the module
+/// docs).
+#[derive(Debug, Clone)]
+pub struct CellStore {
+    memory: Table,
+    dir: Option<PathBuf>,
+}
+
+impl CellStore {
+    /// The process-wide memory backend, over `dir` when given (created if
+    /// absent).
+    pub fn process(dir: Option<&Path>) -> Result<Self, PpfError> {
+        static MEMORY: OnceLock<Table> = OnceLock::new();
+        Self::with_memory(MEMORY.get_or_init(Table::default).clone(), dir)
     }
-    let mut unlabeled = spec.clone();
-    unlabeled.label = String::new();
-    Some(format!(
-        "{}:{}:{}",
-        cell_key(&unlabeled),
-        spec.watchdog.max_cpi,
-        spec.watchdog.stall_window
-    ))
-}
 
-/// The result of one memoized grid execution.
-#[derive(Debug)]
-pub struct MemoizedRun {
-    /// Per-cell outcomes, in input order (seed-merged for the seeds form).
-    pub outcomes: Vec<CellOutcome>,
-    /// Cells served from the in-process memo (not re-run).
-    pub hits: usize,
-    /// Cells actually executed this call.
-    pub executed: usize,
-}
+    /// A store with its own empty memory backend, over `dir` when given:
+    /// what a new process sees.
+    pub fn fresh(dir: Option<&Path>) -> Result<Self, PpfError> {
+        Self::with_memory(Table::default(), dir)
+    }
 
-/// Run `specs`, serving any cell whose key was already completed this
-/// process from the memo and executing the rest (which then populate it).
-pub fn run_grid_memoized(specs: Vec<RunSpec>) -> MemoizedRun {
-    let n = specs.len();
-    let mut outcomes: Vec<Option<CellOutcome>> = (0..n).map(|_| None).collect();
-    let mut pending: Vec<(usize, RunSpec, Option<String>)> = Vec::new();
-    let mut hits = 0usize;
-    {
-        let table = memo().lock().unwrap_or_else(PoisonError::into_inner);
-        for (idx, spec) in specs.into_iter().enumerate() {
-            match memo_key(&spec) {
-                Some(key) => match table.get(&key) {
-                    Some(report) => {
-                        hits += 1;
-                        // The cached report carries the donor cell's label;
-                        // everything else is identical by key construction.
-                        let mut report = report.clone();
-                        report.label = spec.label.clone();
-                        outcomes[idx] = Some(CellOutcome::Ok(Box::new(report)));
-                    }
-                    None => pending.push((idx, spec, Some(key))),
-                },
-                None => pending.push((idx, spec, None)),
+    fn with_memory(memory: Table, dir: Option<&Path>) -> Result<Self, PpfError> {
+        if let Some(dir) = dir {
+            std::fs::create_dir_all(dir).map_err(|e| {
+                PpfError::io(e.to_string())
+                    .context(format!("creating checkpoint dir {}", dir.display()))
+            })?;
+        }
+        Ok(CellStore {
+            memory,
+            dir: dir.map(Path::to_path_buf),
+        })
+    }
+
+    /// The directory entry of `key`, when the store has a directory.
+    pub fn path(&self, key: &str) -> Option<PathBuf> {
+        Some(self.dir.as_ref()?.join(format!("{key}.json")))
+    }
+
+    fn memory(&self) -> std::sync::MutexGuard<'_, HashMap<String, SimReport>> {
+        self.memory.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Look `key` up in memory, then on disk; a disk hit is loaded into
+    /// memory, so [`CellStore::report`] serves it from then on.
+    pub fn fetch(&self, key: &str) -> Fetch {
+        if self.memory().contains_key(key) {
+            return Fetch::Memory;
+        }
+        let Some(path) = self.path(key) else {
+            return Fetch::Missing;
+        };
+        let Ok(text) = std::fs::read_to_string(&path) else {
+            return Fetch::Missing;
+        };
+        match SimReport::from_json_str(&text) {
+            Ok(report) => {
+                self.memory().insert(key.to_string(), report);
+                Fetch::Disk
             }
+            Err(_) => Fetch::Corrupt,
         }
     }
-    let executed = pending.len();
-    let mut indices = Vec::with_capacity(executed);
-    let mut keys = Vec::with_capacity(executed);
-    let mut to_run = Vec::with_capacity(executed);
-    for (idx, spec, key) in pending {
-        indices.push(idx);
-        keys.push(key);
-        to_run.push(spec);
+
+    /// A copy of the report stored under `key`, if memory holds it.
+    pub fn report(&self, key: &str) -> Option<SimReport> {
+        self.memory().get(key).cloned()
     }
-    let ran = run_grid_outcomes_observed(to_run, |i, outcome| {
-        if let (CellOutcome::Ok(report), Some(key)) = (outcome, &keys[i]) {
-            memo()
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(key.clone(), (**report).clone());
+
+    /// Store `report` under `key` in memory and, when the store has a
+    /// directory, on disk. Only the disk write can fail; the report is in
+    /// memory either way.
+    pub fn put(&self, key: &str, report: SimReport) -> Result<(), PpfError> {
+        let json = self.dir.is_some().then(|| report.to_json_pretty());
+        self.memory().insert(key.to_string(), report);
+        let (Some(path), Some(json)) = (self.path(key), json) else {
+            return Ok(());
+        };
+        let tmp = path.with_extension("json.tmp");
+        std::fs::write(&tmp, json)
+            .and_then(|()| std::fs::rename(&tmp, &path))
+            .map_err(|e| PpfError::io(e.to_string()).context(format!("writing {}", path.display())))
+    }
+
+    /// Where the cost model lives: `TIMINGS.json` in the directory.
+    fn timings_path(&self) -> Option<PathBuf> {
+        Some(self.dir.as_ref()?.join("TIMINGS.json"))
+    }
+
+    /// The persisted cost model, or an empty one without a directory.
+    pub fn cost_model(&self) -> CostModel {
+        self.timings_path()
+            .map(|p| CostModel::load(&p))
+            .unwrap_or_default()
+    }
+
+    /// Persist `model` beside the cells (no-op without a directory).
+    pub fn save_cost_model(&self, model: &CostModel) -> Result<(), PpfError> {
+        match self.timings_path() {
+            Some(path) => model.save(&path),
+            None => Ok(()),
         }
-    });
-    for (slot, outcome) in indices.into_iter().zip(ran) {
-        outcomes[slot] = Some(outcome);
-    }
-    MemoizedRun {
-        outcomes: outcomes
-            .into_iter()
-            .map(|o| o.expect("every cell served or ran"))
-            .collect(),
-        hits,
-        executed,
     }
 }
 
-/// The multi-seed form: memoizes the full (cell × seed) fan-out, then
-/// merges outcomes per input cell exactly like `run_grid_seeds`.
-pub fn run_grid_seeds_memoized(specs: Vec<RunSpec>, seeds: u32) -> MemoizedRun {
-    assert!(seeds >= 1);
-    let n = specs.len();
-    let fanned = fan_seeds(&specs, seeds);
-    let mut run = run_grid_memoized(fanned);
-    run.outcomes = merge_seed_outcomes(run.outcomes, n, seeds);
-    run
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ppf_sim::WatchdogConfig;
+    use ppf_types::telemetry::TelemetryConfig;
+    use ppf_types::SystemConfig;
+    use ppf_workloads::{AdversarySpec, AttackKind, FaultSpec, Workload};
+
+    fn base() -> RunSpec {
+        RunSpec::new("base", SystemConfig::paper_default(), Workload::Mcf).instructions(4_000)
+    }
+
+    #[test]
+    fn labels_do_not_change_the_key() {
+        let mut renamed = base();
+        renamed.label = "no-filter@8KB".to_string();
+        assert_eq!(memo_key(&base()), memo_key(&renamed));
+    }
+
+    #[test]
+    fn every_machine_visible_field_changes_the_key() {
+        let key = memo_key(&base()).expect("plain cells have a key");
+        let variants: Vec<(&str, RunSpec)> = vec![
+            ("config", {
+                let mut s = base();
+                s.config.prefetch.nsp_degree += 1;
+                s
+            }),
+            (
+                "workload",
+                RunSpec::new("base", SystemConfig::paper_default(), Workload::Gcc)
+                    .instructions(4_000),
+            ),
+            ("seed", {
+                let mut s = base();
+                s.seed += 1;
+                s
+            }),
+            ("insts", {
+                let mut s = base();
+                s.n_instructions += 1;
+                s
+            }),
+            ("warmup", {
+                let mut s = base();
+                s.warmup += 1;
+                s
+            }),
+            (
+                "watchdog",
+                base().with_watchdog(WatchdogConfig {
+                    max_cpi: 10_000,
+                    stall_window: 20_000,
+                }),
+            ),
+            (
+                "adversary",
+                base().with_adversary(AdversarySpec::window(AttackKind::Poison, 500, 3_000)),
+            ),
+        ];
+        for (field, spec) in variants {
+            let other = memo_key(&spec).expect("plain cells have a key");
+            assert_ne!(other, key, "changing the {field} must change the key");
+        }
+    }
+
+    #[test]
+    fn fault_and_telemetry_cells_have_no_key() {
+        assert_eq!(memo_key(&base().with_fault(FaultSpec::panic_at(1))), None);
+        let dir = std::env::temp_dir();
+        assert_eq!(
+            memo_key(&base().with_telemetry(TelemetryConfig::every(1_000), dir)),
+            None
+        );
+    }
 }

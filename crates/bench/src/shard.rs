@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 /// documents with any other version is refused: result files are
 /// artifacts shipped between machines, so silent cross-version mixing
 /// would be corruption, not compatibility.
-pub const SHARD_SCHEMA_VERSION: u64 = 1;
+pub const SHARD_SCHEMA_VERSION: u64 = 2;
 
 /// The 1-based shard owning `key` out of `count` shards: a pure function
 /// of the cell's content-hash key, so the partition is identical on every

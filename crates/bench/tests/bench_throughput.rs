@@ -1,8 +1,9 @@
 //! Tier-1 coverage for the throughput bench harness: determinism of the
 //! simulated counters, the `BENCH_*.json` schema round-trip, the CI
-//! regression-gate arithmetic, and the in-process cell memo.
+//! regression-gate arithmetic, and the cell store's memory backend.
 
-use ppf_bench::memo;
+use ppf_bench::memo::CellStore;
+use ppf_bench::plan::Plan;
 use ppf_bench::throughput::{
     compare, load_report, run, store_report, BenchReport, BenchSettings, LayerStat, LAYERS,
     SCHEMA_VERSION,
@@ -130,28 +131,30 @@ fn compare_warns_on_incomparable_mixes() {
 }
 
 #[test]
-fn memo_serves_repeat_cells_with_identical_reports() {
+fn memory_store_serves_repeat_cells_with_identical_reports() {
     let spec = || {
-        let mut s = RunSpec::new(
-            "memo-test-unique-label",
-            SystemConfig::paper_default(),
-            Workload::ALL[0],
-        )
-        .instructions(5_000);
-        s.warmup = 0;
-        s
+        RunSpec::new("memo-test", SystemConfig::paper_default(), Workload::ALL[0])
+            .instructions(5_000)
     };
-    // Both copies execute on the first call: the memo only serves cells
-    // that *completed* before the grid started.
-    let first = memo::run_grid_memoized(vec![spec(), spec()]);
-    assert_eq!(first.executed, 2);
-    assert_eq!(first.hits, 0);
-    // The second call is served entirely from the memo, byte-for-byte.
-    let second = memo::run_grid_memoized(vec![spec()]);
-    assert_eq!(second.executed, 0);
-    assert_eq!(second.hits, 1);
-    assert_eq!(
-        first.outcomes[0].report().expect("first run ok"),
-        second.outcomes[0].report().expect("memo hit ok"),
-    );
+    let store = CellStore::fresh(None).expect("memory-only store");
+    // Within one plan, two copies of a cell are one run.
+    let first = Plan::new(vec![vec![spec(), spec()]], 1, None).execute(&store);
+    assert_eq!((first.served[0], first.executed[0]), (0, 1));
+    // A later plan is served entirely from memory, byte for byte, under its
+    // own label.
+    let mut renamed = spec();
+    renamed.label = "renamed".to_string();
+    let second = Plan::new(vec![vec![renamed]], 1, None).execute(&store);
+    assert_eq!((second.served[0], second.executed[0]), (1, 0));
+    let a = first.outcomes(0, &store)[0]
+        .report()
+        .cloned()
+        .expect("first run ok");
+    let mut b = second.outcomes(0, &store)[0]
+        .report()
+        .cloned()
+        .expect("memory hit ok");
+    assert_eq!(b.label, "renamed");
+    b.label = a.label.clone();
+    assert_eq!(a, b);
 }

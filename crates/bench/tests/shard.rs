@@ -209,7 +209,7 @@ fn merge_rejects_schema_version_skew() {
     let out_dir = temp_dir("skew-merged");
     let manifest_path = dirs[1].join("MANIFEST.json");
     let doctored = std::fs::read_to_string(&manifest_path).unwrap().replacen(
-        "\"schema_version\": 1",
+        &format!("\"schema_version\": {SHARD_SCHEMA_VERSION}"),
         "\"schema_version\": 999",
         1,
     );

@@ -208,7 +208,6 @@ impl RobRing {
 }
 
 /// The out-of-order core.
-#[derive(Clone)]
 pub struct Core {
     cfg: CoreConfig,
     front: FrontEnd,

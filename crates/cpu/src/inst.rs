@@ -86,25 +86,14 @@ impl Inst {
 }
 
 /// An endless dynamic instruction source.
-///
-/// `Send` because the grid runner moves warmed-up simulators (which own
-/// their stream) between worker threads when sharing warm-up snapshots.
-pub trait InstStream: Send {
+pub trait InstStream {
     /// Produce the next instruction in program order. Streams are infinite:
     /// the simulator decides how many instructions to run.
     fn next_inst(&mut self) -> Inst;
-
-    /// A boxed deep copy of this stream at its current position, or `None`
-    /// when the stream is not duplicable (the default — closures, fault
-    /// and adversary wrappers). Streams that opt in make their simulator
-    /// snapshottable, letting the scheduler share warm-up work.
-    fn clone_box(&self) -> Option<Box<dyn InstStream>> {
-        None
-    }
 }
 
 /// Blanket impl so closures can serve as streams in tests.
-impl<F: FnMut() -> Inst + Send> InstStream for F {
+impl<F: FnMut() -> Inst> InstStream for F {
     fn next_inst(&mut self) -> Inst {
         self()
     }

@@ -42,18 +42,6 @@ impl ComposedPrefetcher {
     pub fn names(&self) -> Vec<&'static str> {
         self.generators.iter().map(|g| g.name()).collect()
     }
-
-    /// A deep copy of the composition at its current training state, or
-    /// `None` if any generator is not duplicable (see
-    /// [`Prefetcher::clone_box`]).
-    pub fn try_clone(&self) -> Option<Self> {
-        let generators = self
-            .generators
-            .iter()
-            .map(|g| g.clone_box())
-            .collect::<Option<Vec<_>>>()?;
-        Some(ComposedPrefetcher { generators })
-    }
 }
 
 impl Prefetcher for ComposedPrefetcher {

@@ -103,10 +103,6 @@ impl CorrelationPrefetcher {
 }
 
 impl Prefetcher for CorrelationPrefetcher {
-    fn clone_box(&self) -> Option<Box<dyn Prefetcher>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "correlation"
     }

@@ -66,10 +66,7 @@ pub struct AccessEvent {
 }
 
 /// A hardware prefetch generator.
-///
-/// `Send` because the grid runner moves warmed-up simulators (which own
-/// their generators) between worker threads when sharing warm-up snapshots.
-pub trait Prefetcher: Send {
+pub trait Prefetcher {
     /// Short name for reports.
     fn name(&self) -> &'static str;
 
@@ -79,14 +76,6 @@ pub trait Prefetcher: Send {
     /// Observe one demand access; append any candidate prefetches to `out`.
     /// Implementations must not clear `out` (generators are chained).
     fn on_access(&mut self, ev: &AccessEvent, out: &mut Vec<PrefetchRequest>);
-
-    /// A boxed deep copy of this generator at its current training state,
-    /// or `None` when it is not duplicable (the default). Generators that
-    /// opt in make their machine snapshottable, letting the scheduler
-    /// share warm-up work across grid cells.
-    fn clone_box(&self) -> Option<Box<dyn Prefetcher>> {
-        None
-    }
 }
 
 #[cfg(test)]

@@ -36,10 +36,6 @@ impl NextSequencePrefetcher {
 }
 
 impl Prefetcher for NextSequencePrefetcher {
-    fn clone_box(&self) -> Option<Box<dyn Prefetcher>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "nsp"
     }

@@ -170,10 +170,6 @@ impl ShadowDirectoryPrefetcher {
 }
 
 impl Prefetcher for ShadowDirectoryPrefetcher {
-    fn clone_box(&self) -> Option<Box<dyn Prefetcher>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "sdp"
     }

@@ -85,10 +85,6 @@ impl StridePrefetcher {
 }
 
 impl Prefetcher for StridePrefetcher {
-    fn clone_box(&self) -> Option<Box<dyn Prefetcher>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn name(&self) -> &'static str {
         "stride"
     }

@@ -6,10 +6,7 @@
 //! benches share these definitions so the paper index in DESIGN.md has a
 //! single source of truth. Grid cells are independent pure functions of
 //! `(config, workload, seed)`, so [`run_grid`] fans them out across threads
-//! with the work-stealing scheduler in [`crate::schedule`]: dispatch is
-//! ordered by predicted cell cost (longest first), idle workers steal from
-//! busy ones, and cells sharing an identical warm-up prefix reuse one
-//! warmed simulator snapshot instead of each warming up from scratch.
+//! through the queue in [`crate::schedule`], longest predicted cell first.
 //! Output order always matches input order regardless of schedule.
 //!
 //! The runner is fault tolerant: each cell executes under
@@ -24,13 +21,11 @@ use crate::schedule::CostModel;
 use crate::simulator::{Simulator, WatchdogConfig};
 use ppf_cpu::InstStream;
 use ppf_types::telemetry::{JsonlSink, TelemetryConfig};
-use ppf_types::{
-    json_struct, FilterKind, PpfError, PrefetchConfig, SplitMix64, SystemConfig, ToJson,
-};
+use ppf_types::{json_struct, FilterKind, PpfError, PrefetchConfig, SplitMix64, SystemConfig};
 use ppf_workloads::{AdversarySpec, AdversaryStream, AttackKind, FaultSpec, FaultStream, Workload};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// Default per-run instruction budget for full experiments. The paper runs
 /// 300M instructions per benchmark; the models reach steady state orders of
@@ -167,12 +162,9 @@ impl RunSpec {
         )
     }
 
-    /// Build, configure and warm up this cell's simulator — everything
-    /// that happens *before* measurement begins. Split from
-    /// [`RunSpec::finish`] so the grid scheduler can snapshot the warmed
-    /// machine and share it across cells with an identical warm prefix
-    /// (see [`RunSpec::warm_key`]).
-    fn warmed_sim(&self) -> Result<Simulator, PpfError> {
+    /// Execute this cell, surfacing failures (invalid config, watchdog
+    /// trip, funnel violation) as structured errors.
+    pub fn run_checked(&self) -> Result<SimReport, PpfError> {
         // Composition order matters: the fault wrapper sits outermost so a
         // fault drill trips at the same emitted-instruction index whether
         // or not an adversary is also mixed in.
@@ -198,13 +190,6 @@ impl RunSpec {
                 .map_err(|e| e.context(self.identity()))?;
         }
         sim.warmup_checked(self.warmup)?;
-        Ok(sim)
-    }
-
-    /// Run the measured phase on an already-warm simulator (own or a
-    /// shared snapshot — the re-label covers a donor cell's label).
-    fn finish(&self, sim: Simulator) -> Result<SimReport, PpfError> {
-        let mut sim = sim.labeled(self.label.clone(), self.workload.name());
         let report = sim.run_checked(self.n_instructions)?;
         if let Some(t) = &self.telemetry {
             let path = self.telemetry_path().expect("telemetry is set");
@@ -218,38 +203,6 @@ impl RunSpec {
                 .map_err(|e| e.context(self.identity()))?;
         }
         Ok(report)
-    }
-
-    /// Execute this cell, surfacing failures (invalid config, watchdog
-    /// trip, funnel violation) as structured errors.
-    pub fn run_checked(&self) -> Result<SimReport, PpfError> {
-        self.finish(self.warmed_sim()?)
-    }
-
-    /// The warm-prefix identity of this cell, or `None` when its warm-up
-    /// cannot be shared. Two cells with the same key execute an *identical*
-    /// warm-up (same config, workload, seed, warm-up budget and watchdog
-    /// bounds — the seed matters because streams are seeded), so one cell's
-    /// post-warm-up snapshot is a valid starting point for the other.
-    /// Fault, adversary and telemetry cells never share (wrappers are not
-    /// duplicable and faults are positional).
-    fn warm_key(&self) -> Option<u64> {
-        if self.fault.is_some() || self.adversary.is_some() || self.telemetry.is_some() {
-            return None;
-        }
-        let mut h = crate::schedule::FNV_OFFSET;
-        for part in [
-            self.config.to_json_string(),
-            self.workload.name().to_string(),
-            self.seed.to_string(),
-            self.warmup.to_string(),
-            self.watchdog.max_cpi.to_string(),
-            self.watchdog.stall_window.to_string(),
-        ] {
-            h = crate::schedule::fnv1a(h, part.as_bytes());
-            h = crate::schedule::fnv1a(h, &[0]);
-        }
-        Some(h)
     }
 
     /// Execute this cell, panicking on failure with the rendered
@@ -336,99 +289,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Shared warm-up snapshots for the current grid run. Groups cells by
-/// [`RunSpec::warm_key`]; the first cell of a group to warm up donates a
-/// snapshot of its warmed machine, later cells clone it (the last one
-/// takes it) and skip straight to the measured phase. Results are
-/// bit-identical either way — a snapshot *is* the state the warm-up
-/// produces — so sharing only removes duplicate work.
-struct SnapshotCache {
-    groups: Mutex<std::collections::HashMap<u64, SnapGroup>>,
-    reuses: std::sync::atomic::AtomicU64,
-}
-
-/// One warm-prefix group: how many member cells have not yet been served,
-/// and the donated snapshot once a member finished warming up.
-struct SnapGroup {
-    remaining: usize,
-    snap: Option<Simulator>,
-}
-
-impl SnapshotCache {
-    /// Build the cache for one grid: only warm keys shared by ≥ 2 cells
-    /// form groups (a group of one could never reuse its snapshot).
-    fn new(specs: &[RunSpec]) -> Self {
-        let mut counts: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        for spec in specs {
-            if let Some(key) = spec.warm_key() {
-                *counts.entry(key).or_insert(0) += 1;
-            }
-        }
-        let groups = counts
-            .into_iter()
-            .filter(|&(_, n)| n >= 2)
-            .map(|(key, n)| {
-                (
-                    key,
-                    SnapGroup {
-                        remaining: n,
-                        snap: None,
-                    },
-                )
-            })
-            .collect();
-        SnapshotCache {
-            groups: Mutex::new(groups),
-            reuses: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Warm-up snapshots donated to sibling cells so far.
-    fn reuses(&self) -> u64 {
-        self.reuses.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Run `spec`, reusing a group sibling's warm snapshot when one is
-    /// available and donating ours otherwise.
-    fn run(&self, spec: &RunSpec) -> Result<SimReport, PpfError> {
-        let Some(key) = spec.warm_key() else {
-            return spec.run_checked();
-        };
-        // Fast path: a sibling already warmed up — clone its snapshot (the
-        // group's last consumer takes it, skipping the final clone).
-        let warmed = {
-            let mut groups = lock_clean(&self.groups);
-            groups.get_mut(&key).and_then(|g| {
-                g.remaining = g.remaining.saturating_sub(1);
-                if g.remaining == 0 {
-                    g.snap.take()
-                } else {
-                    g.snap.as_ref().and_then(Simulator::try_snapshot)
-                }
-            })
-        };
-        if let Some(sim) = warmed {
-            self.reuses
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return spec.finish(sim);
-        }
-        // Slow path: warm up ourselves; donate a snapshot if siblings are
-        // still waiting and nobody beat us to it. (Two siblings racing
-        // through warm-up both run correctly — the loser just wastes the
-        // donation.)
-        let sim = spec.warmed_sim()?;
-        {
-            let mut groups = lock_clean(&self.groups);
-            if let Some(g) = groups.get_mut(&key) {
-                if g.remaining > 0 && g.snap.is_none() {
-                    g.snap = sim.try_snapshot();
-                }
-            }
-        }
-        spec.finish(sim)
-    }
-}
-
 /// Build the [`CellFailure`] for `spec`'s terminal attempt.
 fn cell_failure(spec: &RunSpec, error: PpfError, attempts: u32) -> CellFailure {
     CellFailure {
@@ -439,13 +299,6 @@ fn cell_failure(spec: &RunSpec, error: PpfError, attempts: u32) -> CellFailure {
         attempts,
         attacking_tenant: spec.adversary.map(|a| a.attack.attacking_tenant()),
     }
-}
-
-/// Lock a mutex, recovering from poisoning. Worker panics are contained by
-/// `catch_unwind`, but a panic that escapes anyway (e.g. from a panic
-/// payload's `Drop`) must not cascade into aborting every surviving cell.
-fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The `s`-th fanned seed derived from `base`.
@@ -465,9 +318,7 @@ pub fn fanned_seed(base: u64, s: u32) -> u64 {
 }
 
 /// The seed-major (cell × seed) product grid: all cells at fanned seed 0,
-/// then all at fanned seed 1, … Shared by [`run_grid_seeds_outcomes`] and
-/// the checkpointing layer in `ppf-bench`, which must key cells exactly as
-/// the runner executes them.
+/// then all at fanned seed 1, …
 pub fn fan_seeds(specs: &[RunSpec], seeds: u32) -> Vec<RunSpec> {
     let mut fanned = Vec::with_capacity(specs.len() * seeds as usize);
     for s in 0..seeds {
@@ -547,47 +398,34 @@ pub fn run_grid(specs: Vec<RunSpec>) -> Vec<SimReport> {
 /// preserves input order. One bad cell yields one `Failed` outcome and
 /// every other cell still completes.
 pub fn run_grid_outcomes(specs: Vec<RunSpec>) -> Vec<CellOutcome> {
-    run_grid_outcomes_observed(specs, |_, _| {})
-}
-
-/// As [`run_grid_outcomes`], invoking `observe(index, &outcome)` as each
-/// cell finishes (from the worker that ran it) — the checkpoint layer's
-/// streaming-write hook, so completed cells survive a crash mid-sweep.
-pub fn run_grid_outcomes_observed<F>(specs: Vec<RunSpec>, observe: F) -> Vec<CellOutcome>
-where
-    F: Fn(usize, &CellOutcome) + Sync,
-{
-    run_grid_outcomes_traced(specs, &CostModel::default(), observe).0
+    run_grid_outcomes_traced(specs, &CostModel::default(), |_, _| {}).0
 }
 
 /// Execution trace of one grid run: scheduling evidence for tests plus the
-/// per-cell timing observations the checkpoint layer feeds back into the
-/// persisted [`CostModel`].
+/// per-cell wall times a sweep feeds back into its persisted [`CostModel`].
 #[derive(Debug, Default)]
 pub struct GridTrace {
     /// Cell indices in the order execution started (retried cells appear
     /// once per attempt).
     pub start_order: Vec<usize>,
-    /// Tasks taken from another worker's deque.
+    /// Always 0: the queue has no per-worker deques to steal from. Kept so
+    /// existing readers of the trace still compile.
     pub steals: u64,
-    /// Retry re-enqueues (satellite fix: retries go to the back of the
-    /// scheduler, never inline on the same worker).
+    /// Retry re-enqueues (retries go to the back of the queue, never
+    /// inline on the same worker).
     pub retries: u64,
     /// Wall time of each cell's final attempt, in microseconds.
     pub cell_micros: Vec<u64>,
-    /// Each cell's content-hash key ([`crate::schedule::cell_key`]),
-    /// computed once for cost prediction and returned so callers can
-    /// record timings without re-hashing.
-    pub keys: Vec<String>,
-    /// Warm-up snapshots shared between same-warm-prefix cells.
+    /// Always 0: cells are no longer finished from a shared warm-up
+    /// snapshot. Kept so existing readers of the trace still compile.
     pub snapshot_reuses: u64,
 }
 
-/// The full-control grid runner: work-stealing dispatch ordered by
-/// `model`'s cost predictions (longest cells start first), shared warm-up
-/// snapshots, panic isolation with scheduler-level retry, and a
-/// [`GridTrace`] of what actually happened. Output order always matches
-/// input order regardless of schedule.
+/// Run every cell under panic isolation with scheduler-level retry,
+/// dispatched longest-predicted-first by `model`, invoking
+/// `observe(index, &outcome)` as each cell finishes (from the worker that
+/// ran it). Output order always matches input order regardless of
+/// schedule.
 pub fn run_grid_outcomes_traced<F>(
     specs: Vec<RunSpec>,
     model: &CostModel,
@@ -596,54 +434,77 @@ pub fn run_grid_outcomes_traced<F>(
 where
     F: Fn(usize, &CellOutcome) + Sync,
 {
-    let n = specs.len();
-    if n == 0 {
-        return (Vec::new(), GridTrace::default());
-    }
-    let keys: Vec<String> = specs.iter().map(crate::schedule::cell_key).collect();
     let costs: Vec<u64> = specs
         .iter()
-        .zip(&keys)
-        .map(|(spec, key)| {
-            model.predict(
-                key,
-                spec.warmup + spec.n_instructions,
-                config_weight(&spec.config),
-            )
-        })
+        .map(|spec| predicted_cost(model, &crate::schedule::cell_key(spec), spec))
         .collect();
+    run_cells(specs, &costs, |i, outcome| {
+        observe(i, &outcome);
+        outcome
+    })
+}
+
+/// `model`'s predicted cost of `spec`, whose key is `key` (ordering only).
+pub fn predicted_cost(model: &CostModel, key: &str, spec: &RunSpec) -> u64 {
+    model.predict(
+        key,
+        spec.warmup + spec.n_instructions,
+        config_weight(&spec.config),
+    )
+}
+
+/// The grid runner under every other: run `cells` over the machine's
+/// worker threads in descending `costs` order, each attempt under
+/// `catch_unwind`, a failed first attempt retried once at the back of the
+/// queue. `finish(index, outcome)` turns each cell's final outcome into the
+/// result kept for it — a sweep moves reports into its store there instead
+/// of keeping a second copy — and the cell's spec is dropped as soon as it
+/// is done, so a long sweep never holds every finished cell's spec.
+/// Results come back in input order.
+pub fn run_cells<R, F>(cells: Vec<RunSpec>, costs: &[u64], finish: F) -> (Vec<R>, GridTrace)
+where
+    R: Send,
+    F: Fn(usize, CellOutcome) -> R + Sync,
+{
+    let n = cells.len();
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4)
-        .min(n);
-    let cache = SnapshotCache::new(&specs);
-    let (outcomes, trace) = crate::schedule::run_scheduled(n, workers, &costs, |job, attempt| {
-        let spec = &specs[job];
-        let error = match catch_unwind(AssertUnwindSafe(|| cache.run(spec))) {
+        .min(n.max(1));
+    let slots: Vec<Mutex<Option<RunSpec>>> =
+        cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
+    let slot = |job: usize| slots[job].lock().unwrap_or_else(PoisonError::into_inner);
+    let (results, trace) = crate::schedule::run_scheduled(n, workers, costs, |job, attempt| {
+        // The scheduler runs each job on one worker at a time, so the spec
+        // is always there to take; a retry puts it back.
+        let spec = slot(job)
+            .take()
+            .expect("spec present until the cell is done");
+        let error = match catch_unwind(AssertUnwindSafe(|| spec.run_checked())) {
             Ok(Ok(report)) => {
-                let outcome = CellOutcome::Ok(Box::new(report));
-                observe(job, &outcome);
-                return crate::schedule::Attempt::Done(outcome);
+                return crate::schedule::Attempt::Done(finish(
+                    job,
+                    CellOutcome::Ok(Box::new(report)),
+                ))
             }
             Ok(Err(e)) => e,
             Err(payload) => PpfError::cell_panic(panic_message(&*payload)).context(spec.identity()),
         };
         if attempt + 1 < MAX_ATTEMPTS {
+            *slot(job) = Some(spec);
             return crate::schedule::Attempt::Retry;
         }
-        let outcome = CellOutcome::Failed(cell_failure(spec, error, attempt + 1));
-        observe(job, &outcome);
-        crate::schedule::Attempt::Done(outcome)
+        let failure = cell_failure(&spec, error, attempt + 1);
+        crate::schedule::Attempt::Done(finish(job, CellOutcome::Failed(failure)))
     });
     let grid_trace = GridTrace {
         start_order: trace.start_order,
-        steals: trace.steals,
+        steals: 0,
         retries: trace.retries,
         cell_micros: trace.cell_micros,
-        keys,
-        snapshot_reuses: cache.reuses(),
+        snapshot_reuses: 0,
     };
-    (outcomes, grid_trace)
+    (results, grid_trace)
 }
 
 /// Static relative cost weight of a configuration (100 = baseline
@@ -1188,68 +1049,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_snapshot_run_is_bit_identical_to_fresh_run() {
-        // A cell finished from another identically-warmed cell's snapshot
-        // must produce the exact report a fresh end-to-end run produces —
-        // the core invariant that makes warm-up sharing a pure dedup.
-        let spec =
-            RunSpec::new("snap", SystemConfig::paper_default(), Workload::Mcf).instructions(20_000);
-        let fresh = spec.run_checked().expect("fresh run");
-        let donor = spec.warmed_sim().expect("warm-up");
-        let snap = donor.try_snapshot().expect("paper config is duplicable");
-        let via_snapshot = spec.finish(snap).expect("snapshot run");
-        assert_eq!(fresh, via_snapshot);
-        // The donor machine itself is unperturbed by having been copied.
-        assert_eq!(fresh, spec.finish(donor).expect("donor run"));
-    }
-
-    #[test]
-    fn warm_keys_group_only_identical_warm_prefixes() {
-        let base = RunSpec::new("a", SystemConfig::paper_default(), Workload::Mcf).instructions(N);
-        let same_prefix =
-            RunSpec::new("b", SystemConfig::paper_default(), Workload::Mcf).instructions(N);
-        assert_eq!(base.warm_key(), same_prefix.warm_key());
-        let other_seed = {
-            let mut s = base.clone();
-            s.seed += 1;
-            s
-        };
-        assert_ne!(base.warm_key(), other_seed.warm_key(), "streams are seeded");
-        let other_workload =
-            RunSpec::new("a", SystemConfig::paper_default(), Workload::Gcc).instructions(N);
-        assert_ne!(base.warm_key(), other_workload.warm_key());
-        assert!(
-            base.clone()
-                .with_fault(FaultSpec::panic_at(1))
-                .warm_key()
-                .is_none(),
-            "fault cells never share warm-ups"
-        );
-    }
-
-    #[test]
-    fn snapshot_cache_shares_warmups_and_preserves_results() {
-        // Three cells, two sharing a warm prefix (labels differ, machine
-        // identical). Run sequentially through the cache so reuse counts
-        // are deterministic.
-        let a = RunSpec::new("a", SystemConfig::paper_default(), Workload::Mcf).instructions(N);
-        let b = RunSpec::new("b", SystemConfig::paper_default(), Workload::Mcf).instructions(N);
-        let c = RunSpec::new("c", SystemConfig::paper_default(), Workload::Gcc).instructions(N);
-        let specs = vec![a.clone(), b.clone(), c.clone()];
-        let cache = SnapshotCache::new(&specs);
-        let ra = cache.run(&a).expect("a");
-        let rb = cache.run(&b).expect("b");
-        let rc = cache.run(&c).expect("c");
-        assert_eq!(cache.reuses(), 1, "b reuses a's warm-up; c is alone");
-        assert_eq!(ra, a.run_checked().unwrap());
-        assert_eq!(rb, b.run_checked().unwrap());
-        assert_eq!(rc, c.run_checked().unwrap());
-        assert_eq!(ra.label, "a");
-        assert_eq!(rb.label, "b", "reused snapshot is re-labeled");
-    }
-
-    #[test]
-    fn traced_grid_reports_in_input_order_with_keys_and_timings() {
+    fn traced_grid_reports_in_input_order_with_timings() {
         let specs: Vec<RunSpec> = fig1_2(N).into_iter().take(4).collect();
         let expected: Vec<String> = specs
             .iter()
@@ -1266,24 +1066,18 @@ mod tests {
             .collect();
         assert_eq!(got, expected, "output order is input order");
         assert_eq!(trace.start_order.len(), 4);
-        assert_eq!(trace.keys.len(), 4);
         assert_eq!(trace.cell_micros.len(), 4);
         assert!(trace.cell_micros.iter().all(|&m| m > 0));
         assert_eq!(trace.retries, 0);
-        // Keys match the checkpoint layer's content-hash identity.
-        for (spec, key) in specs.iter().zip(&trace.keys) {
-            assert_eq!(key, &crate::schedule::cell_key(spec));
-        }
+        assert_eq!((trace.steals, trace.snapshot_reuses), (0, 0));
     }
 
     #[test]
     fn cost_model_orders_traced_dispatch() {
-        // Record wall-times that invert the input order; with one cell per
-        // worker... we can't pin workers, so use the single-worker-visible
-        // property instead: predictions drive the cost-descending deal,
-        // which the scheduler trace exposes via start positions. Seed the
-        // model so cell 0 is predicted cheapest and cell 3 costliest, then
-        // check 3 starts no later than 0.
+        // Record wall-times that invert the input order: predictions drive
+        // the cost-descending queue, which the scheduler trace exposes via
+        // start positions. Seed the model so cell 0 is predicted cheapest
+        // and cell 3 costliest, then check 3 starts no later than 0.
         let specs: Vec<RunSpec> = fig1_2(N).into_iter().take(4).collect();
         let mut model = CostModel::new();
         for (i, spec) in specs.iter().enumerate() {

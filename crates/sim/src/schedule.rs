@@ -1,32 +1,28 @@
-//! Work-stealing grid scheduler with a persisted cost model.
+//! The grid scheduler: one longest-predicted-first queue, the cell key,
+//! and a persisted cost model.
 //!
-//! The flat Mutex work queue the grid runner used through PR 7 dispatched
-//! cells in arbitrary order, so a 300-cell sweep regularly ended with one
-//! worker grinding through a slow straggler while the rest sat idle. This
-//! module replaces it with the classic deque scheme: each worker owns a
-//! double-ended queue, jobs are distributed cost-descending round-robin so
-//! the predicted-longest cells start first, a worker pops its own front,
-//! falls back to the shared injector, and finally steals from the *back*
-//! of a victim's deque (the cheap end — stolen work is the work the owner
-//! would reach last).
+//! Jobs are sorted once by predicted cost, descending, and workers claim
+//! them through a single atomic cursor over that order, so the
+//! predicted-longest cells start first and a straggler is never stuck
+//! behind cheap work. A failed attempt goes to a retry queue that workers
+//! drain after the sorted order, never re-run inline, so one flaky cell
+//! cannot hold up the rest. A worker with nothing to claim while peers
+//! still run parks on a condition variable until a retry arrives or the
+//! last job finishes; it never spins.
 //!
 //! Dispatch order is driven by [`CostModel`]: exact per-cell wall times
-//! recorded by previous runs (persisted as `TIMINGS.json` beside the
+//! recorded by previous runs (persisted as `TIMINGS.json` inside the
 //! checkpoint directory), falling back to a calibrated micros-per-
 //! instruction mean, falling back to a static config-feature heuristic.
 //! The cost model only affects *order*; results are position-addressed,
 //! so any schedule produces byte-identical output.
-//!
-//! Retries are re-enqueued at the back of the injector instead of being
-//! re-run inline on the same worker (the pre-PR-8 behaviour), so one
-//! poisoned cell cannot starve a worker's local deque.
 
 use crate::experiments::RunSpec;
 use ppf_types::{json_struct, FromJson, PpfError, ToJson};
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 
 /// FNV-1a 64-bit over `bytes`, continuing from `h`.
 pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
@@ -40,24 +36,36 @@ pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// FNV-1a offset basis (the standard 64-bit seed).
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// The content-hash key of one cell: label, config JSON, workload, seed
-/// and instruction budgets. Any change to any of these yields a different
-/// key. The checkpoint layer uses it as the on-disk filename, the memo
-/// table and the cost model as lookup keys, and the shard partitioner as
-/// the stable identity a cell keeps across machines.
+/// Version stamp hashed into every [`cell_key`]. Bump it whenever the
+/// key's inputs or encoding change: results stored under older keys are
+/// then never found again (a checkpoint directory written before the bump
+/// is ignored, not misread).
+pub const CELL_KEY_VERSION: u64 = 2;
+
+/// The canonical key of one cell: a versioned FNV-1a hash of everything
+/// the machine sees — config JSON, workload, seed, instruction budgets,
+/// adversary — plus the watchdog bounds, which decide whether a cell
+/// errors. The label is left out: it is presentation, copied into the
+/// report and never fed back into the machine, so two experiments that run
+/// the same machine under different names share one key. Fault injection
+/// and telemetry are left out too; cells carrying either are never stored
+/// or deduplicated (see `ppf_bench::memo::memo_key`).
+///
+/// The key names a cell in the result store, partitions a sweep across
+/// shards, and looks up recorded wall times in the [`CostModel`].
 pub fn cell_key(spec: &RunSpec) -> String {
     let mut h = FNV_OFFSET;
-    // Attack-free cells keep their pre-adversary keys (empty part), so
-    // existing checkpoint directories stay valid.
     let adversary = spec.adversary.map(|a| a.describe()).unwrap_or_default();
     for part in [
-        spec.label.as_str(),
+        &CELL_KEY_VERSION.to_string(),
         &spec.config.to_json_string(),
         spec.workload.name(),
         &spec.seed.to_string(),
         &spec.n_instructions.to_string(),
         &spec.warmup.to_string(),
         &adversary,
+        &spec.watchdog.max_cpi.to_string(),
+        &spec.watchdog.stall_window.to_string(),
     ] {
         h = fnv1a(h, part.as_bytes());
         // Field separator so ("ab","c") and ("a","bc") cannot collide.
@@ -134,7 +142,7 @@ impl CostModel {
     /// Predicted cost (microseconds-shaped, but only the *ordering*
     /// matters) of a cell with key `key` running `insts` instructions on a
     /// configuration of relative weight `weight` (100 = baseline; see
-    /// `experiments::spec_cost`).
+    /// `experiments::predicted_cost`).
     pub fn predict(&self, key: &str, insts: u64, weight: u64) -> u64 {
         if let Some(&micros) = self.exact.get(key) {
             return micros;
@@ -208,8 +216,8 @@ pub enum Attempt<R> {
     /// The job finished (successfully or with a terminal failure); `R` is
     /// its result.
     Done(R),
-    /// The attempt failed and the job should be re-enqueued at the back of
-    /// the scheduler with an incremented attempt counter.
+    /// The attempt failed and the job should go to the retry queue with an
+    /// incremented attempt counter.
     Retry,
 }
 
@@ -219,8 +227,6 @@ pub struct Trace {
     /// Job indices in the order execution *started* (a retried job appears
     /// once per attempt).
     pub start_order: Vec<usize>,
-    /// Tasks taken from another worker's deque.
-    pub steals: u64,
     /// Retry re-enqueues.
     pub retries: u64,
     /// Wall time of each job's final attempt, in microseconds.
@@ -234,12 +240,20 @@ struct Task {
     attempt: u32,
 }
 
-/// Run `n` jobs over `workers` threads with work stealing. `costs[i]` is
-/// job `i`'s predicted cost (ordering only); `exec(job, attempt)` runs one
-/// attempt and decides completion vs retry. Results are returned in job
-/// order regardless of schedule. `exec` must eventually return
-/// [`Attempt::Done`] for every job (the grid runner bounds attempts
-/// itself).
+/// The part of the queue guarded by one lock: retried tasks, and the jobs
+/// not yet done. Workers may only exit when `outstanding` reaches zero: an
+/// empty queue is not termination while a peer still runs a job that might
+/// come back as a retry.
+struct Pending {
+    retries: VecDeque<Task>,
+    outstanding: usize,
+}
+
+/// Run `n` jobs over `workers` threads. `costs[i]` is job `i`'s predicted
+/// cost (ordering only); `exec(job, attempt)` runs one attempt and decides
+/// completion vs retry. Results are returned in job order regardless of
+/// schedule. `exec` must eventually return [`Attempt::Done`] for every job
+/// (the grid runner bounds attempts itself).
 pub fn run_scheduled<R, F>(n: usize, workers: usize, costs: &[u64], exec: F) -> (Vec<R>, Trace)
 where
     R: Send,
@@ -251,93 +265,83 @@ where
         return (Vec::new(), Trace::default());
     }
 
-    // Cost-descending dispatch order (stable: equal costs keep input
-    // order), dealt round-robin so every worker starts with its share of
-    // the heavy cells at the *front* of its deque.
+    // Cost-descending dispatch order; the sort is stable, so equal costs
+    // keep input order.
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(costs[i]));
-    let deques: Vec<Mutex<VecDeque<Task>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (pos, &job) in order.iter().enumerate() {
-        lock(&deques[pos % workers]).push_back(Task { job, attempt: 0 });
-    }
-
-    // Retries land at the back of the shared injector: every worker drains
-    // it after its own deque, so a flaky job migrates away from the worker
-    // (and the local queue) it poisoned.
-    let injector: Mutex<VecDeque<Task>> = Mutex::new(VecDeque::new());
-    // Jobs not yet Done. Workers may only exit when this reaches zero:
-    // an empty queue is not termination while a peer still runs a job
-    // that might Retry into the injector.
-    let outstanding = AtomicUsize::new(n);
+    let cursor = AtomicUsize::new(0);
+    let pending = Mutex::new(Pending {
+        retries: VecDeque::new(),
+        outstanding: n,
+    });
+    let wake = Condvar::new();
     let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
     let start_order: Mutex<Vec<usize>> = Mutex::new(Vec::with_capacity(n));
     let cell_micros: Mutex<Vec<u64>> = Mutex::new(vec![0; n]);
-    let steals = AtomicU64::new(0);
-    let retries = AtomicU64::new(0);
 
-    // Each pop is its own statement so its guard drops before the next
-    // lock is taken: a worker never holds one queue while locking another,
-    // so there is no lock order for two workers to disagree on.
-    let next_task = |me: usize| {
-        let own = lock(&deques[me]).pop_front();
-        if own.is_some() {
-            return own;
+    // The sorted order first, then retries; with neither, park until a
+    // peer retries a job or the last job finishes.
+    let next_task = || {
+        let pos = cursor.fetch_add(1, Ordering::Relaxed);
+        if pos < n {
+            return Some(Task {
+                job: order[pos],
+                attempt: 0,
+            });
         }
-        let injected = lock(&injector).pop_front();
-        if injected.is_some() {
-            return injected;
-        }
-        // Steal from the back of the first non-empty victim, scanning
-        // ring-wise so contention spreads out.
-        for off in 1..workers {
-            let victim = (me + off) % workers;
-            let stolen = lock(&deques[victim]).pop_back();
-            if stolen.is_some() {
-                steals.fetch_add(1, Ordering::Relaxed);
-                return stolen;
+        let mut p = lock(&pending);
+        loop {
+            if let Some(task) = p.retries.pop_front() {
+                return Some(task);
             }
+            if p.outstanding == 0 {
+                return None;
+            }
+            p = wake
+                .wait(p)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
         }
-        None
     };
 
-    let worker_loop = |me: usize| loop {
-        let Some(task) = next_task(me) else {
-            if outstanding.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            std::thread::yield_now();
-            continue;
-        };
-        lock(&start_order).push(task.job);
-        let t0 = std::time::Instant::now();
-        match exec(task.job, task.attempt) {
-            Attempt::Done(r) => {
-                let micros = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                lock(&cell_micros)[task.job] = micros;
-                lock(&results)[task.job] = Some(r);
-                outstanding.fetch_sub(1, Ordering::Release);
-            }
-            Attempt::Retry => {
-                retries.fetch_add(1, Ordering::Relaxed);
-                lock(&injector).push_back(Task {
-                    job: task.job,
-                    attempt: task.attempt + 1,
-                });
+    let worker_loop = || {
+        while let Some(task) = next_task() {
+            lock(&start_order).push(task.job);
+            let t0 = std::time::Instant::now();
+            match exec(task.job, task.attempt) {
+                Attempt::Done(r) => {
+                    let micros = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+                    lock(&cell_micros)[task.job] = micros;
+                    lock(&results)[task.job] = Some(r);
+                    let mut p = lock(&pending);
+                    p.outstanding -= 1;
+                    if p.outstanding == 0 {
+                        wake.notify_all();
+                    }
+                }
+                Attempt::Retry => {
+                    lock(&pending).retries.push_back(Task {
+                        job: task.job,
+                        attempt: task.attempt + 1,
+                    });
+                    wake.notify_one();
+                }
             }
         }
     };
 
     if workers == 1 {
-        worker_loop(0);
+        worker_loop();
     } else {
         std::thread::scope(|scope| {
-            for me in 0..workers {
-                scope.spawn(move || worker_loop(me));
+            for _ in 0..workers {
+                scope.spawn(worker_loop);
             }
         });
     }
 
+    let start_order = start_order
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let results = results
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -345,11 +349,8 @@ where
         .map(|r| r.expect("every job completed"))
         .collect();
     let trace = Trace {
-        start_order: start_order
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner),
-        steals: steals.into_inner(),
-        retries: retries.into_inner(),
+        retries: (start_order.len() - n) as u64,
+        start_order,
         cell_micros: cell_micros
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner),
@@ -366,15 +367,12 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
-
     #[test]
     fn single_worker_starts_costliest_first() {
         let costs = [1u64, 9, 5, 7];
         let (results, trace) = run_scheduled(4, 1, &costs, |job, _| Attempt::Done(job));
         assert_eq!(results, vec![0, 1, 2, 3], "results stay in job order");
         assert_eq!(trace.start_order, vec![1, 3, 2, 0], "dispatch is cost-desc");
-        assert_eq!(trace.steals, 0);
         assert_eq!(trace.retries, 0);
         assert_eq!(trace.cell_micros.len(), 4);
     }
@@ -391,10 +389,10 @@ mod tests {
 
     #[test]
     fn retry_re_enqueues_at_the_back() {
-        // Job 0 fails its first attempt. The retry must go to the back of
-        // the scheduler (injector), NOT re-run inline: with one worker the
-        // observable order is 0,1,2,0 — the old inline-retry runner would
-        // produce 0,0,1,2.
+        // Job 0 fails its first attempt. The retry must go to the retry
+        // queue, drained after the sorted order, NOT re-run inline: with
+        // one worker the observable order is 0,1,2,0 — an inline-retry
+        // runner would produce 0,0,1,2.
         let costs = [1u64; 3];
         let (results, trace) = run_scheduled(3, 1, &costs, |job, attempt| {
             if job == 0 && attempt == 0 {
@@ -409,36 +407,41 @@ mod tests {
     }
 
     #[test]
-    fn skewed_costs_trigger_stealing() {
-        // Worker 0 gets the one heavy job first (cost-desc round-robin);
-        // worker 1 finishes its light share and must steal the rest of
-        // worker 0's deque for the run to finish promptly.
+    fn light_worker_drains_every_other_job_while_the_heavy_one_runs() {
+        // The heavy job starts first (cost-desc) and does not finish until
+        // every light job has: the other worker must claim all of them
+        // from the shared cursor. A per-worker split of the order would
+        // strand light jobs behind the heavy one and time out here.
+        const LIGHT: usize = 5;
         let costs = [1000u64, 1, 1, 1, 1, 1];
-        let heavy_done = AtomicU32::new(0);
+        let light_done = AtomicUsize::new(0);
         let (results, trace) = run_scheduled(6, 2, &costs, |job, _| {
             if job == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(60));
-                heavy_done.store(1, Ordering::SeqCst);
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while light_done.load(Ordering::SeqCst) < LIGHT
+                    && std::time::Instant::now() < deadline
+                {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                Attempt::Done(light_done.load(Ordering::SeqCst))
             } else {
-                std::thread::sleep(std::time::Duration::from_millis(1));
+                light_done.fetch_add(1, Ordering::SeqCst);
+                Attempt::Done(job)
             }
-            Attempt::Done(job)
         });
-        assert_eq!(results, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(trace.start_order.len(), 6);
-        assert!(
-            trace.steals >= 1,
-            "light worker must steal from the heavy one ({} steals)",
-            trace.steals
+        assert_eq!(
+            results[0], LIGHT,
+            "light jobs all finished under the heavy one"
         );
+        assert_eq!(&results[1..], &[1, 2, 3, 4, 5]);
+        assert_eq!(trace.start_order[0], 0, "the heavy job starts first");
     }
 
     #[test]
     fn many_cheap_jobs_with_retries_never_deadlock() {
         // Thousands of near-zero-cost jobs keep every worker cycling
-        // through its own deque, the injector and its victims at once,
-        // which is where a worker holding one queue lock while taking
-        // another deadlocks. The run happens on a helper thread so a hang
+        // through the cursor, the retry queue and the idle wait at once,
+        // which is where a lost wake-up or a lock-order slip deadlocks. The run happens on a helper thread so a hang
         // fails the test at the deadline instead of stalling the suite.
         const JOBS: usize = 4000;
         let (tx, rx) = std::sync::mpsc::channel();

@@ -196,26 +196,6 @@ impl MemSystem {
         }
     }
 
-    /// A deep copy of the memory system at its current state (caches,
-    /// filter tables, prefetcher training state), or `None` when any
-    /// composed hardware prefetcher is not duplicable.
-    fn try_clone(&self) -> Option<Self> {
-        Some(MemSystem {
-            hierarchy: self.hierarchy.clone(),
-            l1_ports: self.l1_ports.clone(),
-            queue: self.queue.clone(),
-            filter: self.filter.clone(),
-            hw: self.hw.try_clone()?,
-            software_enabled: self.software_enabled,
-            line_bytes: self.line_bytes,
-            scratch: Vec::with_capacity(8),
-            last_conflict_cycle: self.last_conflict_cycle,
-            last_fetch_line: self.last_fetch_line,
-            stats: self.stats.clone(),
-            tap: self.tap.clone(),
-        })
-    }
-
     /// Start recording every filter interaction (differential testing).
     pub fn enable_filter_tap(&mut self) {
         self.tap = Some(Vec::new());
@@ -798,33 +778,6 @@ impl Simulator {
         self.label = label.into();
         self.workload_name = workload.into();
         self
-    }
-
-    /// A deep copy of the whole machine at its current state — core,
-    /// caches, filter tables, prefetcher training state and stream
-    /// position — or `None` when the stream or a prefetcher is not
-    /// duplicable, or when telemetry is attached (samplers are per-run).
-    /// The grid scheduler uses this to share one warm-up across cells
-    /// whose warm prefix is identical.
-    pub fn try_snapshot(&self) -> Option<Self> {
-        if self.telemetry.is_some() {
-            return None;
-        }
-        Some(Simulator {
-            core: self.core.clone(),
-            mem: self.mem.try_clone()?,
-            stream: self.stream.clone_box()?,
-            cfg: self.cfg.clone(),
-            label: self.label.clone(),
-            workload_name: self.workload_name.clone(),
-            seed: self.seed,
-            now: self.now,
-            cycle_base: self.cycle_base,
-            core_stats: self.core_stats.clone(),
-            watchdog: self.watchdog,
-            kernel: self.kernel,
-            telemetry: None,
-        })
     }
 
     /// The machine configuration.

@@ -102,7 +102,6 @@ struct BranchSite {
 }
 
 /// The endless instruction stream for one workload instance.
-#[derive(Clone)]
 pub struct MixStream {
     spec: WorkloadSpec,
     patterns: Vec<PatternState>,
@@ -256,10 +255,6 @@ impl MixStream {
 }
 
 impl InstStream for MixStream {
-    fn clone_box(&self) -> Option<Box<dyn InstStream>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn next_inst(&mut self) -> Inst {
         let inst = if let Some(p) = self.pending.pop_front() {
             p
