@@ -24,10 +24,11 @@
 //! written under an older key version (including every directory from
 //! before the store had one flat layout) is ignored, never misread. The
 //! directory also holds `TIMINGS.json`, the sweep's persisted
-//! [`CostModel`], so the next run starts the longest cells first.
+//! [`CostModel`](ppf_sim::CostModel), so the next run starts the longest
+//! cells first.
 
 use ppf_sim::experiments::RunSpec;
-use ppf_sim::schedule::{cell_key, CostModel};
+use ppf_sim::schedule::cell_key;
 use ppf_sim::SimReport;
 use ppf_types::{FromJson, PpfError, ToJson};
 use std::collections::HashMap;
@@ -51,22 +52,9 @@ pub fn is_storable(spec: &RunSpec) -> bool {
 /// Reports by key.
 type Table = Arc<Mutex<HashMap<String, SimReport>>>;
 
-/// Where [`CellStore::fetch`] found a key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fetch {
-    /// Already in the memory backend.
-    Memory,
-    /// Loaded from the directory backend (now also in memory).
-    Disk,
-    /// A directory entry exists but does not parse; the cell must re-run.
-    Corrupt,
-    /// Neither backend has it.
-    Missing,
-}
-
 /// A memory backend plus an optional directory backend (see the module
 /// docs).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CellStore {
     memory: Table,
     dir: Option<PathBuf>,
@@ -100,7 +88,7 @@ impl CellStore {
     }
 
     /// The directory entry of `key`, when the store has a directory.
-    pub fn path(&self, key: &str) -> Option<PathBuf> {
+    fn path(&self, key: &str) -> Option<PathBuf> {
         Some(self.dir.as_ref()?.join(format!("{key}.json")))
     }
 
@@ -108,24 +96,24 @@ impl CellStore {
         self.memory.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Look `key` up in memory, then on disk; a disk hit is loaded into
-    /// memory, so [`CellStore::report`] serves it from then on.
-    pub fn fetch(&self, key: &str) -> Fetch {
+    /// Does the store hold `key`? Looks in memory, then on disk; a disk hit
+    /// is loaded into memory, so [`CellStore::report`] serves it from then
+    /// on. An entry that does not parse counts as absent: the cell re-runs
+    /// and its fresh report replaces the entry.
+    pub fn fetch(&self, key: &str) -> bool {
         if self.memory().contains_key(key) {
-            return Fetch::Memory;
+            return true;
         }
-        let Some(path) = self.path(key) else {
-            return Fetch::Missing;
-        };
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            return Fetch::Missing;
-        };
-        match SimReport::from_json_str(&text) {
-            Ok(report) => {
+        let loaded = self
+            .path(key)
+            .and_then(|path| std::fs::read_to_string(path).ok())
+            .and_then(|text| SimReport::from_json_str(&text).ok());
+        match loaded {
+            Some(report) => {
                 self.memory().insert(key.to_string(), report);
-                Fetch::Disk
+                true
             }
-            Err(_) => Fetch::Corrupt,
+            None => false,
         }
     }
 
@@ -149,24 +137,10 @@ impl CellStore {
             .map_err(|e| PpfError::io(e.to_string()).context(format!("writing {}", path.display())))
     }
 
-    /// Where the cost model lives: `TIMINGS.json` in the directory.
-    fn timings_path(&self) -> Option<PathBuf> {
+    /// Where the sweep's [`CostModel`] persists: `TIMINGS.json` in the
+    /// directory, when the store has one.
+    pub fn timings_path(&self) -> Option<PathBuf> {
         Some(self.dir.as_ref()?.join("TIMINGS.json"))
-    }
-
-    /// The persisted cost model, or an empty one without a directory.
-    pub fn cost_model(&self) -> CostModel {
-        self.timings_path()
-            .map(|p| CostModel::load(&p))
-            .unwrap_or_default()
-    }
-
-    /// Persist `model` beside the cells (no-op without a directory).
-    pub fn save_cost_model(&self, model: &CostModel) -> Result<(), PpfError> {
-        match self.timings_path() {
-            Some(path) => model.save(&path),
-            None => Ok(()),
-        }
     }
 }
 

@@ -13,12 +13,12 @@
 //! Each run is counted against its *owner*, the first grid that planned
 //! it, so per-grid counts add up to the plan's totals.
 
-use crate::memo::{is_storable, CellStore, Fetch};
+use crate::memo::{is_storable, CellStore};
 use crate::shard::ShardSpec;
 use ppf_sim::experiments::{
     fanned_seed, merge_seed_outcomes, predicted_cost, run_cells, CellFailure, CellOutcome, RunSpec,
 };
-use ppf_sim::schedule::cell_key;
+use ppf_sim::schedule::{cell_key, CostModel};
 use ppf_sim::SimReport;
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Mutex, PoisonError};
@@ -163,7 +163,7 @@ impl Plan {
         let mut pending: Vec<usize> = Vec::new();
         let mut specs: Vec<RunSpec> = Vec::new();
         for (i, run) in runs.into_iter().enumerate() {
-            if is_storable(&run) && matches!(store.fetch(&keys[i]), Fetch::Memory | Fetch::Disk) {
+            if is_storable(&run) && store.fetch(&keys[i]) {
                 served[owners[i]] += 1;
                 done[i] = Some(Done::Stored);
             } else {
@@ -173,7 +173,8 @@ impl Plan {
             }
         }
 
-        let mut model = store.cost_model();
+        let timings = store.timings_path();
+        let mut model = timings.as_deref().map(CostModel::load).unwrap_or_default();
         let costs: Vec<u64> = pending
             .iter()
             .zip(&specs)
@@ -203,8 +204,8 @@ impl Plan {
             }
         }
         let mut errors = errors.into_inner().unwrap_or_else(PoisonError::into_inner);
-        if !pending.is_empty() {
-            errors.extend(store.save_cost_model(&model).err());
+        if let (Some(path), false) = (timings, pending.is_empty()) {
+            errors.extend(model.save(&path).err());
         }
         for e in errors {
             eprintln!("warning: {e}");
