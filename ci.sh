@@ -42,7 +42,10 @@ kernel_identity() {
     # kernels against the committed golden, the divergence property test,
     # and the port-arbitration pins — in release mode, since the skip
     # logic's wake-up caching is exactly the code optimized builds reorder.
+    # The core-geometry golden runs the same issue logic over ROB sizes
+    # and issue widths the default machine never uses.
     cargo test --release -q --test kernel_identity
+    cargo test --release -q --test core_geometry
     cargo test --release -q --test port_contention
 }
 
@@ -73,6 +76,16 @@ attack_drills() {
     ./target/release/bench timeline em3d --filter hybrid --insts 60000 \
         --attack poison --attack-start 10000 --attack-stop 30000 \
         | grep -q 'recovery:'
+}
+
+perfbench_selftest() {
+    # The repository benchmark's own checks. The measuring binary's tests
+    # include committed_golden_digests_match, the benchmark's cycle-identity
+    # check: the canonical hot-loop cells must reproduce the digests in
+    # perfbench/golden.json. The runner's tests check run.py against
+    # BENCHMARK.json and need no build.
+    cargo test --release --manifest-path perfbench/Cargo.toml
+    python3 perfbench/test_run.py
 }
 
 bench_smoke() {
@@ -152,6 +165,7 @@ fault-drills) fault_drills ;;
 attack-drills) attack_drills ;;
 kernel-identity) kernel_identity ;;
 oracle) oracle ;;
+perfbench-selftest) perfbench_selftest ;;
 bench-smoke) bench_smoke ;;
 figures-shard) figures_shard "${2:?usage: ci.sh figures-shard K N}" "${3:?usage: ci.sh figures-shard K N}" ;;
 figures-merge) figures_merge ;;
@@ -162,9 +176,10 @@ all)
     attack_drills
     kernel_identity
     oracle
+    perfbench_selftest
     ;;
 *)
-    echo "unknown stage: $stage (build-test|lint|fault-drills|attack-drills|kernel-identity|oracle|bench-smoke|figures-shard K N|figures-merge|all)" >&2
+    echo "unknown stage: $stage (build-test|lint|fault-drills|attack-drills|kernel-identity|oracle|perfbench-selftest|bench-smoke|figures-shard K N|figures-merge|all)" >&2
     exit 2
     ;;
 esac

@@ -2,13 +2,13 @@
 //!
 //! The first groups time the hot-path data structures in isolation (cache
 //! probe/fill, history-table lookup/train, prefetch generators, branch
-//! predictor, workload stream generation). The ablation groups quantify
+//! predictor, workload stream generation, the core's issue stage). The ablation groups quantify
 //! the design choices DESIGN.md calls out: counter width, L1
 //! associativity, the stride (RPT) prefetcher extension, and the adaptive
 //! filter gate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ppf_cpu::InstStream;
+use ppf_cpu::{Core, Inst, InstStream, MemoryPort, Op};
 use ppf_filter::{table::HistoryTable, PollutionFilter};
 use ppf_mem::cache::{Cache, FillKind};
 use ppf_mem::replacement::ReplacementPolicy;
@@ -17,8 +17,8 @@ use ppf_prefetch::{
 };
 use ppf_sim::experiments::RunSpec;
 use ppf_types::{
-    CacheConfig, FilterConfig, FilterKind, LineAddr, PrefetchRequest, PrefetchSource, SplitMix64,
-    SystemConfig,
+    Addr, CacheConfig, CoreConfig, Cycle, FilterConfig, FilterKind, LineAddr, Pc, PrefetchRequest,
+    PrefetchSource, SimStats, SplitMix64, SystemConfig,
 };
 use ppf_workloads::Workload;
 use std::hint::black_box;
@@ -135,6 +135,46 @@ fn bench_workload_generation(c: &mut Criterion) {
     });
 }
 
+fn bench_core_issue(c: &mut Criterion) {
+    // The latency-bound regime of the pointer-chasing codes: every
+    // 128-instruction block opens with a 300-cycle load that holds the ROB
+    // head, and one ALU op in eight extends a dependence chain running
+    // through the whole stream while the rest are independent. The window
+    // fills with issued entries stuck behind the miss; the chain wakes one
+    // entry per cycle, so the issue scan runs each cycle over a window
+    // that is mostly Done.
+    struct SlowLoads;
+    impl MemoryPort for SlowLoads {
+        fn try_access(&mut self, _pc: Pc, _addr: Addr, _store: bool, now: Cycle) -> Option<Cycle> {
+            Some(now + 300)
+        }
+        fn software_prefetch(&mut self, _pc: Pc, _addr: Addr, _now: Cycle) {}
+    }
+    c.bench_function("micro/cpu/issue_scan_blocked_window", |b| {
+        let mut core = Core::new(&CoreConfig::default());
+        let mut i = 0u64;
+        let mut stream = move || {
+            i += 1;
+            let pc = 0x1000 + (i % 128) * 4;
+            match i % 128 {
+                0 => Inst::new(pc, Op::Load { addr: i * 64 }),
+                k if k % 8 == 4 => Inst::with_dep(pc, Op::IntAlu, 8),
+                _ => Inst::new(pc, Op::IntAlu),
+            }
+        };
+        let mut stats = SimStats::default();
+        let mut now = 0;
+        // Ten head-load periods per sample.
+        b.iter(|| {
+            for _ in 0..3_000 {
+                core.tick(now, &mut stream, &mut SlowLoads, &mut stats);
+                now += 1;
+            }
+            black_box(stats.instructions)
+        })
+    });
+}
+
 fn bench_simulator_throughput(c: &mut Criterion) {
     // Whole-machine throughput: simulated instructions per wall second is
     // the number the README quotes.
@@ -219,6 +259,7 @@ criterion_group! {
         bench_history_table,
         bench_prefetchers,
         bench_workload_generation,
+        bench_core_issue,
         bench_simulator_throughput,
         bench_ablation_counter_width,
         bench_ablation_stride_prefetcher,
