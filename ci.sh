@@ -88,18 +88,6 @@ perfbench_selftest() {
     python3 perfbench/test_run.py
 }
 
-bench_smoke() {
-    # Perf gate: quick throughput run compared against the committed
-    # baseline; exits non-zero if any layer regresses past the threshold.
-    # Five trials per layer (fastest kept) reject host scheduling noise,
-    # which is what lets the threshold sit at 15% instead of the old 20.
-    # Telemetry is off here (as everywhere by default), so this same gate
-    # bounds the cost of the telemetry-off hot path.
-    cargo build --release -p ppf-bench
-    ./target/release/bench throughput --quick --trials 5 --no-write \
-        --baseline BENCH_baseline.json --max-regress 15
-}
-
 figures_shard() {
     # Sharded sweep fabric (DESIGN.md §13): run only the cells owned by
     # shard K of N and leave the fragment directory + manifest behind for
@@ -126,16 +114,12 @@ figures_merge() {
     # Reassemble the shard fragments into per-experiment documents. The
     # merge itself is the coverage gate: it exits 2 on gaps and 1 on
     # inconsistent manifests, so a lost or skewed shard fails this stage.
-    # The throughput ratchet rides along here so a perf regression can't
-    # hide behind a green sweep.
     cargo build --release -p ppf-bench
     start=$(date +%s)
     ./target/release/figures merge --out merged fragments/*/
     end=$(date +%s)
     ls merged
     timings_summary "$((end - start))s"
-    ./target/release/bench throughput --quick --trials 5 --no-write \
-        --baseline BENCH_baseline.json --max-regress 15
 }
 
 timings_summary() {
@@ -166,7 +150,6 @@ attack-drills) attack_drills ;;
 kernel-identity) kernel_identity ;;
 oracle) oracle ;;
 perfbench-selftest) perfbench_selftest ;;
-bench-smoke) bench_smoke ;;
 figures-shard) figures_shard "${2:?usage: ci.sh figures-shard K N}" "${3:?usage: ci.sh figures-shard K N}" ;;
 figures-merge) figures_merge ;;
 all)
@@ -179,7 +162,7 @@ all)
     perfbench_selftest
     ;;
 *)
-    echo "unknown stage: $stage (build-test|lint|fault-drills|attack-drills|kernel-identity|oracle|perfbench-selftest|bench-smoke|figures-shard K N|figures-merge|all)" >&2
+    echo "unknown stage: $stage (build-test|lint|fault-drills|attack-drills|kernel-identity|oracle|perfbench-selftest|figures-shard K N|figures-merge|all)" >&2
     exit 2
     ;;
 esac

@@ -1,21 +1,9 @@
-//! `bench` — simulator performance measurement and time-series inspection.
+//! `bench` — time-series inspection of one simulated cell.
 //!
 //! ```text
-//! bench throughput [--quick] [--trials N] [--out PATH] [--no-write]
-//!                  [--baseline PATH] [--max-regress PCT]
-//! bench timeline [WORKLOAD] [--filter PA|PC|hybrid|none] [--insts N]
-//!                [--interval CYCLES] [--seed S] [--json]
+//! bench timeline [WORKLOAD] [--filter none|PA|PC|hybrid|perceptron]
+//!                [--insts N] [--interval CYCLES] [--seed S] [--json]
 //! ```
-//!
-//! `throughput` runs the pinned-seed workload mix through every model layer
-//! (core / +mem / +prefetch / +filter), prints a per-layer MIPS table and
-//! writes `BENCH_<rev>.json` (override with `--out`, suppress with
-//! `--no-write`). Each layer is timed `--trials` times (default 3) and the
-//! fastest pass reported, so one preempted scheduler slice cannot masquerade
-//! as a simulator regression. With `--baseline` the run is also diffed against a
-//! committed `BENCH_*.json`; the delta table prints either way and the
-//! exit code is 3 when any layer's MIPS regressed more than
-//! `--max-regress` percent (default 20).
 //!
 //! `timeline` runs one cold (no warm-up) cell with interval telemetry and
 //! renders the filter's warm-up curve — `fraction_good` leaving its
@@ -30,32 +18,23 @@
 //! and how many intervals after attack-off it took to climb back within
 //! the recovery band of the pre-attack baseline.
 //!
-//! Exit codes: 0 success, 1 usage or I/O errors, 3 perf regression.
+//! Exit codes: 0 success, 1 usage or run errors.
 
-use ppf_bench::{throughput, timeline};
+use ppf_bench::timeline;
 use ppf_types::{FilterKind, ToJson};
 use ppf_workloads::{AdversarySpec, AttackKind, Workload};
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: bench throughput [--quick] [--trials N] [--out PATH] [--no-write]\n\
-     \x20                       [--baseline PATH] [--max-regress PCT]\n\
-     \x20      bench timeline [WORKLOAD] [--filter PA|PC|hybrid|none] [--insts N]\n\
-     \x20                     [--interval CYCLES] [--seed S] [--json]\n\
+const USAGE: &str = "usage: bench timeline [WORKLOAD] [--filter none|PA|PC|hybrid|perceptron]\n\
+     \x20                     [--insts N] [--interval CYCLES] [--seed S] [--json]\n\
      \x20                     [--attack poison|alias-flood|phase-shift|interleave]\n\
      \x20                     [--attack-start N] [--attack-stop N]";
 
-/// Exit code for "ran fine, but MIPS regressed beyond the threshold".
-const EXIT_REGRESSION: u8 = 3;
-
+/// The filter kind whose report label is `name`, ignoring case.
 fn parse_filter(name: &str) -> Option<FilterKind> {
-    match name.to_ascii_lowercase().as_str() {
-        "none" => Some(FilterKind::None),
-        "pa" => Some(FilterKind::Pa),
-        "pc" => Some(FilterKind::Pc),
-        "hybrid" => Some(FilterKind::Hybrid),
-        _ => None,
-    }
+    FilterKind::ALL
+        .into_iter()
+        .find(|kind| kind.label().eq_ignore_ascii_case(name))
 }
 
 fn timeline_main(args: &[String]) -> ExitCode {
@@ -104,7 +83,7 @@ fn timeline_main(args: &[String]) -> ExitCode {
                 match args.get(i).and_then(|s| parse_filter(s)) {
                     Some(kind) => settings.filter = kind,
                     None => {
-                        eprintln!("--filter needs one of PA|PC|hybrid|none\n{USAGE}");
+                        eprintln!("--filter needs one of none|PA|PC|hybrid|perceptron\n{USAGE}");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -197,125 +176,19 @@ fn timeline_main(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("timeline") {
-        return timeline_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) != Some("throughput") {
-        match args.first().map(String::as_str) {
-            Some("--help") | Some("-h") => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            Some(other) => eprintln!("unknown subcommand '{other}'\n{USAGE}"),
-            None => eprintln!("no subcommand given\n{USAGE}"),
+    match args.first().map(String::as_str) {
+        Some("timeline") => timeline_main(&args[1..]),
+        Some("--help") | Some("-h") => {
+            println!("{USAGE}");
+            ExitCode::SUCCESS
         }
-        return ExitCode::FAILURE;
-    }
-    let mut settings = throughput::BenchSettings::full();
-    let mut out: Option<PathBuf> = None;
-    let mut write = true;
-    let mut baseline: Option<PathBuf> = None;
-    let mut max_regress = throughput::DEFAULT_MAX_REGRESS_PCT;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--quick" => {
-                let trials = settings.trials;
-                settings = throughput::BenchSettings::quick();
-                settings.trials = trials;
-            }
-            "--no-write" => write = false,
-            "--trials" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(n) if n > 0 => settings.trials = n,
-                    _ => {
-                        eprintln!("--trials needs a positive count\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out = Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("--out needs a path\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--baseline" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => baseline = Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("--baseline needs a path\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--max-regress" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(p) if p > 0.0 => max_regress = p,
-                    _ => {
-                        eprintln!("--max-regress needs a positive percentage\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown argument '{other}'\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+        Some(other) => {
+            eprintln!("unknown subcommand '{other}'\n{USAGE}");
+            ExitCode::FAILURE
         }
-        i += 1;
-    }
-    let report = match throughput::run(&settings) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("throughput run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("{}", throughput::render(&report));
-    if write {
-        let path = out.unwrap_or_else(|| PathBuf::from(format!("BENCH_{}.json", report.rev)));
-        match throughput::store_report(&path, &report) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
+        None => {
+            eprintln!("no subcommand given\n{USAGE}");
+            ExitCode::FAILURE
         }
     }
-    if let Some(base_path) = baseline {
-        let base = match throughput::load_report(&base_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let cmp = throughput::compare(&base, &report);
-        println!("\nvs baseline {} ({})", base.rev, base_path.display());
-        print!("{}", throughput::render_comparison(&cmp));
-        if cmp.regression_exceeds(max_regress) {
-            eprintln!(
-                "perf regression: worst layer {:.1}% below baseline (threshold -{max_regress:.0}%)",
-                cmp.worst_pct
-            );
-            return ExitCode::from(EXIT_REGRESSION);
-        }
-        println!(
-            "within threshold (worst {:+.1}%, limit -{max_regress:.0}%)",
-            cmp.worst_pct
-        );
-    }
-    ExitCode::SUCCESS
 }

@@ -1,10 +1,10 @@
-//! Shared experiment-to-table formatting for the `figures` binary and the
-//! Criterion benches ([`figures`]), the sweep plan ([`plan`]) and the cell
-//! store it runs over ([`memo`]).
+//! Experiment-to-table formatting for the `figures` binary ([`figures`]),
+//! the sweep plan ([`plan`]) and the cell store it runs over ([`memo`]),
+//! shard fragments ([`shard`]) and the `bench timeline` warm-up curve
+//! ([`timeline`]).
 
 pub mod figures;
 pub mod memo;
 pub mod plan;
 pub mod shard;
-pub mod throughput;
 pub mod timeline;

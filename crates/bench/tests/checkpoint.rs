@@ -2,7 +2,8 @@
 //! backend: fresh runs persist every healthy cell, resumes execute only the
 //! missing or failed ones, a config change invalidates the old entries,
 //! corrupt files are re-run, and a checkpointed `figures all` runs each
-//! distinct cell exactly once.
+//! distinct cell exactly once. The memory-only backend is checked too: it
+//! serves repeat cells byte for byte under their own label.
 //!
 //! Each "process" of a drill is a [`CellStore::fresh`] store over the same
 //! directory, so nothing survives between runs except what is on disk.
@@ -361,4 +362,33 @@ fn checkpointed_sweep_runs_each_distinct_cell_once() {
     assert!(warm.contains(&want), "{warm}");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn memory_store_serves_repeat_cells_with_identical_reports() {
+    let spec = || {
+        RunSpec::new("memo-test", SystemConfig::paper_default(), Workload::ALL[0])
+            .instructions(5_000)
+    };
+    let store = CellStore::fresh(None).expect("memory-only store");
+    // Within one plan, two copies of a cell are one run.
+    let first = Plan::new(vec![vec![spec(), spec()]], 1, None).execute(&store);
+    assert_eq!((first.served[0], first.executed[0]), (0, 1));
+    // A later plan is served entirely from memory, byte for byte, under its
+    // own label.
+    let mut renamed = spec();
+    renamed.label = "renamed".to_string();
+    let second = Plan::new(vec![vec![renamed]], 1, None).execute(&store);
+    assert_eq!((second.served[0], second.executed[0]), (1, 0));
+    let a = first.outcomes(0, &store)[0]
+        .report()
+        .cloned()
+        .expect("first run ok");
+    let mut b = second.outcomes(0, &store)[0]
+        .report()
+        .cloned()
+        .expect("memory hit ok");
+    assert_eq!(b.label, "renamed");
+    b.label = a.label.clone();
+    assert_eq!(a, b);
 }

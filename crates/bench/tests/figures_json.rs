@@ -4,7 +4,8 @@
 //! even when cells fail (exit code 2). The failure diagnostics go to
 //! stderr and into the JSON document's `failures` array — never interleaved
 //! into stdout or silently dropped from the dump. Fault injection
-//! (`--inject-fault`) drives the partial path deterministically.
+//! (`--inject-fault`) drives the partial path deterministically. Bad
+//! arguments exit 1 with the usage text before anything runs.
 
 use ppf_bench::figures::ExperimentDoc;
 use ppf_types::{FromJson, PpfErrorKind};
@@ -102,4 +103,19 @@ fn telemetry_flag_streams_interval_records_per_cell() {
         assert!(!records.is_empty(), "{:?} is empty", entry.path());
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn zero_insts_or_seeds_is_a_usage_error() {
+    for flag in ["--insts", "--seeds"] {
+        let out = figures()
+            .args([flag, "0", "fig2"])
+            .output()
+            .expect("figures binary runs");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{flag} 0: {stderr}");
+        assert!(stderr.contains("needs a positive number"), "{stderr}");
+        assert!(stderr.contains("usage: figures"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{flag} 0 printed tables");
+    }
 }

@@ -2,8 +2,8 @@
 //! parallel sweep runner.
 //!
 //! Each `figN_*` function returns the grid of [`RunSpec`]s whose reports
-//! regenerate that figure's rows; the `figures` binary and the Criterion
-//! benches share these definitions so the paper index in DESIGN.md has a
+//! regenerate that figure's rows; the `figures` binary renders every
+//! table from these definitions, so the paper index in DESIGN.md has a
 //! single source of truth. Grid cells are independent pure functions of
 //! `(config, workload, seed)`, so [`run_grid`] fans them out across threads
 //! through the queue in [`crate::schedule`], longest predicted cell first.

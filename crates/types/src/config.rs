@@ -278,6 +278,15 @@ pub enum FilterKind {
 }
 
 impl FilterKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [FilterKind; 5] = [
+        FilterKind::None,
+        FilterKind::Pa,
+        FilterKind::Pc,
+        FilterKind::Hybrid,
+        FilterKind::Perceptron,
+    ];
+
     /// Short label used in reports ("none" / "PA" / "PC").
     pub fn label(self) -> &'static str {
         match self {
